@@ -132,10 +132,6 @@ void Cluster::RemoveProcess(ProcessId pid, bool graceful) {
     p->OnStop();
   }
   p->running_ = false;
-  for (EventId timer : p->pending_timers_) {
-    sim_->Cancel(timer);
-  }
-  p->pending_timers_.clear();
   san_->Unbind(p->endpoint_);
   NodeState* node = GetNode(p->endpoint_.node);
   if (node != nullptr) {
@@ -150,6 +146,11 @@ void Cluster::RemoveProcess(ProcessId pid, bool graceful) {
 Process* Cluster::Find(ProcessId pid) const {
   auto it = processes_.find(pid);
   return it == processes_.end() ? nullptr : it->second.get();
+}
+
+bool Cluster::Alive(ProcessId pid) const {
+  const Process* p = Find(pid);
+  return p != nullptr && p->running_;
 }
 
 Process* Cluster::FindByEndpoint(const Endpoint& ep) const {
@@ -194,11 +195,10 @@ void Cluster::RestartNode(NodeId node) {
   SNS_LOG(kInfo, "cluster") << "node " << node << " restarted";
 }
 
-void Cluster::RunOnCpu(NodeId node, ProcessId owner, SimDuration cpu_time,
-                       std::function<void()> done) {
+SimTime Cluster::ReserveCpu(NodeId node, SimDuration cpu_time) {
   NodeState* state = GetNode(node);
   if (state == nullptr || !state->up) {
-    return;
+    return kTimeNever;
   }
   if (cpu_time < 0) {
     cpu_time = 0;
@@ -215,20 +215,7 @@ void Cluster::RunOnCpu(NodeId node, ProcessId owner, SimDuration cpu_time,
   SimTime finish = start + scaled;
   state->cpu_busy_until[cpu] = finish;
   state->cpu_busy_total += scaled;
-  uint64_t incarnation = state->incarnation;
-  sim_->ScheduleAt(finish, [this, node, owner, incarnation, done = std::move(done)] {
-    NodeState* s = GetNode(node);
-    if (s == nullptr || !s->up || s->incarnation != incarnation) {
-      return;  // Node crashed while the work was queued.
-    }
-    if (owner != kInvalidProcess) {
-      Process* p = Find(owner);
-      if (p == nullptr || !p->running_) {
-        return;  // Owner died; its completion is meaningless.
-      }
-    }
-    done();
-  });
+  return finish;
 }
 
 double Cluster::CpuBacklogSeconds(NodeId node) const {

@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/process.h"
@@ -72,6 +73,11 @@ class Cluster {
   void Crash(ProcessId pid);
 
   Process* Find(ProcessId pid) const;
+  // True while `pid` names a running process. A process's pending work (After
+  // timers, CPU completions) is not cancelled when it dies; each event checks
+  // this when it fires instead. Pids are never reused, so the check cannot
+  // mistake a successor for the owner.
+  bool Alive(ProcessId pid) const;
   // The process bound to `ep`, if any.
   Process* FindByEndpoint(const Endpoint& ep) const;
   std::vector<ProcessId> ProcessesOnNode(NodeId node) const;
@@ -86,7 +92,25 @@ class Cluster {
   // Charges `cpu_time` of CPU to `node` on behalf of process `owner` (may be
   // kInvalidProcess for systemic work); runs `done` on completion unless the owner
   // died or the node crashed in the meantime.
-  void RunOnCpu(NodeId node, ProcessId owner, SimDuration cpu_time, std::function<void()> done);
+  template <typename F>
+  void RunOnCpu(NodeId node, ProcessId owner, SimDuration cpu_time, F&& done) {
+    SimTime finish = ReserveCpu(node, cpu_time);
+    if (finish == kTimeNever) {
+      return;
+    }
+    sim_->ScheduleAt(finish, [this, node, owner, incarnation = GetNode(node)->incarnation,
+                              done = std::forward<F>(done)]() mutable {
+      if (GetNode(node)->incarnation == incarnation &&
+          (owner == kInvalidProcess || Alive(owner))) {
+        done();
+      }
+    });
+  }
+
+  // Queues `cpu_time` of work on the node CPU that frees up first and returns
+  // when it completes, or kTimeNever if the node is absent or down. A node crash
+  // abandons the queue, and every process on the node dies with it.
+  SimTime ReserveCpu(NodeId node, SimDuration cpu_time);
 
   // Instantaneous CPU backlog of the node in seconds of queued work.
   double CpuBacklogSeconds(NodeId node) const;

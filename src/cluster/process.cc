@@ -50,30 +50,10 @@ void Process::JoinGroup(McastGroup group) { san()->JoinGroup(group, endpoint_); 
 
 void Process::LeaveGroup(McastGroup group) { san()->LeaveGroup(group, endpoint_); }
 
-void Process::RunOnCpu(SimDuration cpu_time, std::function<void()> done) {
-  cluster_->RunOnCpu(endpoint_.node, pid_, cpu_time, std::move(done));
-}
+bool Process::Alive(const Cluster* cluster, ProcessId pid) { return cluster->Alive(pid); }
 
-EventId Process::After(SimDuration delay, std::function<void()> fn) {
-  auto id_holder = std::make_shared<EventId>(kInvalidEventId);
-  EventId id = sim()->Schedule(delay, [this, id_holder, fn = std::move(fn)] {
-    pending_timers_.erase(*id_holder);
-    // The cluster cancels pending timers on death, so reaching here implies alive;
-    // still guard for robustness against same-timestamp orderings.
-    if (!running_) {
-      return;
-    }
-    fn();
-  });
-  *id_holder = id;
-  pending_timers_.insert(id);
-  return id;
-}
-
-void Process::CancelTimer(EventId id) {
-  if (pending_timers_.erase(id) > 0) {
-    sim()->Cancel(id);
-  }
+SimTime Process::ReserveCpu(SimDuration cpu_time) {
+  return cluster_->ReserveCpu(endpoint_.node, cpu_time);
 }
 
 }  // namespace sns

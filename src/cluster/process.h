@@ -4,16 +4,15 @@
 // the manager, workers, caches and the monitor are all Processes. A process owns an
 // endpoint on the SAN, can charge work to its node's CPU, set timers, and crash
 // without taking the system down (worker isolation, §2.2.5). Timers and pending CPU
-// completions die with the process.
+// completions die with the process: each runs only if its owner is still alive when
+// it fires (DESIGN.md §12).
 
 #ifndef SRC_CLUSTER_PROCESS_H_
 #define SRC_CLUSTER_PROCESS_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
-#include <unordered_set>
+#include <utility>
 
 #include "src/net/message.h"
 #include "src/net/san.h"
@@ -81,21 +80,46 @@ class Process {
   // process. The node CPU is a FIFO queue shared by all processes on the node; this
   // is where distillation cost, TCP/kernel per-request overhead, etc. are charged.
   // If the process dies first, `done` never runs.
-  void RunOnCpu(SimDuration cpu_time, std::function<void()> done);
+  template <typename F>
+  void RunOnCpu(SimDuration cpu_time, F&& done) {
+    SimTime finish = ReserveCpu(cpu_time);
+    if (finish != kTimeNever) {
+      sim()->ScheduleAt(finish, Owned(std::forward<F>(done)));
+    }
+  }
 
-  // One-shot timer owned by this process; auto-cancelled if the process dies.
-  EventId After(SimDuration delay, std::function<void()> fn);
-  void CancelTimer(EventId id);
+  // One-shot timer owned by this process; if the process dies first, `fn` never
+  // runs.
+  template <typename F>
+  EventId After(SimDuration delay, F&& fn) {
+    return sim()->Schedule(delay, Owned(std::forward<F>(fn)));
+  }
+  // No-op for an id that already fired or was cancelled (event ids are single-use).
+  void CancelTimer(EventId id) { sim()->Cancel(id); }
 
  private:
   friend class Cluster;
+
+  // Wraps `fn` so it runs only if this process is still alive when the event
+  // fires. Captures the cluster and pid, never `this`: the process may be gone.
+  template <typename F>
+  auto Owned(F&& fn) const {
+    return [cluster = cluster_, pid = pid_, fn = std::forward<F>(fn)]() mutable {
+      if (Alive(cluster, pid)) {
+        fn();
+      }
+    };
+  }
+  static bool Alive(const Cluster* cluster, ProcessId pid);
+  // Queues `cpu_time` on this process's node; returns when it completes, or
+  // kTimeNever if the node is down.
+  SimTime ReserveCpu(SimDuration cpu_time);
 
   std::string name_;
   ProcessId pid_ = kInvalidProcess;
   Endpoint endpoint_;
   Cluster* cluster_ = nullptr;
   bool running_ = false;
-  std::unordered_set<EventId> pending_timers_;
 };
 
 }  // namespace sns

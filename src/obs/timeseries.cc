@@ -61,7 +61,7 @@ std::string TimeSeriesRecorder::ToJson() const {
   for (const auto& [name, s] : series_) {
     if (!first_series) out += ",";
     first_series = false;
-    out += "\"" + JsonEscape(name) + "\":{\"t_ns\":[";
+    out.append("\"").append(JsonEscape(name)).append("\":{\"t_ns\":[");
     bool first = true;
     for (SimTime t : s.t) {
       if (!first) out += ",";

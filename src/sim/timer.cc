@@ -29,21 +29,4 @@ void PeriodicTimer::Fire() {
   fn_();
 }
 
-OneShotTimer::~OneShotTimer() { Cancel(); }
-
-void OneShotTimer::Arm(SimDuration delay, std::function<void()> fn) {
-  Cancel();
-  pending_ = sim_->Schedule(delay, [this, fn = std::move(fn)] {
-    pending_ = kInvalidEventId;
-    fn();
-  });
-}
-
-void OneShotTimer::Cancel() {
-  if (pending_ != kInvalidEventId) {
-    sim_->Cancel(pending_);
-    pending_ = kInvalidEventId;
-  }
-}
-
 }  // namespace sns

@@ -1,9 +1,9 @@
-// Timer helpers layered on the simulator.
+// Periodic timer layered on the simulator.
 //
 // PeriodicTimer drives the beaconing behaviors central to the paper's soft-state
 // design: the manager beacons its existence and load hints on a multicast channel,
 // workers beacon load reports, the monitor expects periodic component reports.
-// OneShotTimer is the backstop timeout mechanism (paper §2.2.4).
+// One-shot timeouts, the backstop of paper §2.2.4, are Process::After timers.
 
 #ifndef SRC_SIM_TIMER_H_
 #define SRC_SIM_TIMER_H_
@@ -40,25 +40,6 @@ class PeriodicTimer {
   Simulator* sim_;
   SimDuration period_;
   std::function<void()> fn_;
-  EventId pending_ = kInvalidEventId;
-};
-
-// Single-shot timer that can be rearmed or cancelled; cancels itself on destruction.
-class OneShotTimer {
- public:
-  explicit OneShotTimer(Simulator* sim) : sim_(sim) {}
-  ~OneShotTimer();
-
-  OneShotTimer(const OneShotTimer&) = delete;
-  OneShotTimer& operator=(const OneShotTimer&) = delete;
-
-  // Arms the timer, replacing any pending firing.
-  void Arm(SimDuration delay, std::function<void()> fn);
-  void Cancel();
-  bool armed() const { return pending_ != kInvalidEventId; }
-
- private:
-  Simulator* sim_;
   EventId pending_ = kInvalidEventId;
 };
 

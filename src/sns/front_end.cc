@@ -287,6 +287,11 @@ RequestContext* FrontEndProcess::FindContext(uint64_t request_id) {
   return it == contexts_.end() ? nullptr : it->second.get();
 }
 
+RequestContext* FrontEndProcess::LiveContext(uint64_t request_id) {
+  RequestContext* ctx = FindContext(request_id);
+  return ctx != nullptr && !ctx->responded_ ? ctx : nullptr;
+}
+
 void FrontEndProcess::FinishRequest(RequestContext* ctx, const Status& status,
                                     const ContentPtr& content, ResponseSource source,
                                     bool cache_hit) {
@@ -403,6 +408,49 @@ SimDuration FrontEndProcess::RemainingBudget(const RequestContext* ctx) const {
   return ctx->deadline_ == kTimeNever ? kTimeNever : ctx->deadline_ - sim()->now();
 }
 
+// ---------- Pending facility calls ------------------------------------------------------
+
+TraceContext FrontEndProcess::Track(uint64_t op_id, RequestContext* ctx, FacilityCall call,
+                                    SimDuration timeout) {
+  PendingOp op;
+  op.request_id = ctx->id_;
+  op.trace = ChildSpan(ctx->trace_);
+  op.started = sim()->now();
+  op.call = std::move(call);
+  op.timeout = After(timeout, [this, op_id] {
+    std::optional<PendingOp> expired = Take(&pending_ops_, op_id);
+    if (expired.has_value()) {
+      OpTimedOut(std::move(*expired));
+    }
+  });
+  TraceContext trace = op.trace;
+  pending_ops_.emplace(op_id, std::move(op));
+  return trace;
+}
+
+void FrontEndProcess::OpTimedOut(PendingOp op) {
+  const char* span = std::visit([](const auto& call) { return call.kSpan; }, op.call);
+  RecordSpan(op.trace, span, op.started, "timeout");
+  if (std::holds_alternative<CacheProbeOp>(op.call)) {
+    CacheProbeFailed(std::move(op));  // A timeout counts as a miss.
+    return;
+  }
+  RequestContext* ctx = LiveContext(op.request_id);
+  if (ctx == nullptr) {
+    return;
+  }
+  if (auto* get = std::get_if<ProfileGetOp>(&op.call)) {
+    // BASE: fall back to an empty profile rather than failing the request.
+    get->cb(ctx, false, UserProfile(ctx->request_->user_id));
+  } else if (auto* put = std::get_if<ProfilePutOp>(&op.call)) {
+    // Unlike reads there is no BASE fallback: an unacked write is a failure
+    // the client must hear about (it may or may not have committed).
+    put->cb(ctx, TimeoutError("profile write unacknowledged"));
+  } else if (auto* fetch = std::get_if<FetchOp>(&op.call)) {
+    fetch->cb(ctx, TimeoutError("origin fetch timed out"), nullptr);
+  }
+}
+
 // ---------- Profile facility -----------------------------------------------------------
 
 void FrontEndProcess::DoGetProfile(RequestContext* ctx, RequestContext::ProfileCb cb) {
@@ -424,56 +472,35 @@ void FrontEndProcess::DoGetProfile(RequestContext* ctx, RequestContext::ProfileC
   payload->op_id = op_id;
   payload->user_id = user;
   payload->reply_to = endpoint();
-  PendingProfileOp op;
-  op.request_id = ctx->id_;
-  op.cb = std::move(cb);
-  op.trace = ChildSpan(ctx->trace_);
-  op.started = sim()->now();
-  op.timeout = After(CapToBudget(config_.profile_timeout, budget), [this, op_id] {
-    auto it = pending_profile_.find(op_id);
-    if (it == pending_profile_.end()) {
-      return;
-    }
-    PendingProfileOp pending = std::move(it->second);
-    pending_profile_.erase(it);
-    RecordSpan(pending.trace, "fe.profile_get", pending.started, "timeout");
-    RequestContext* ctx2 = FindContext(pending.request_id);
-    if (ctx2 != nullptr && !ctx2->responded_) {
-      // BASE: fall back to an empty profile rather than failing the request.
-      pending.cb(ctx2, false, UserProfile(ctx2->request_->user_id));
-    }
-  });
   Message msg;
+  msg.trace = Track(op_id, ctx, ProfileGetOp{std::move(cb)},
+                    CapToBudget(config_.profile_timeout, budget));
   msg.dst = db;
   msg.type = kMsgProfileGet;
   msg.transport = Transport::kReliable;
   msg.size_bytes = 64 + static_cast<int64_t>(user.size());
   msg.payload = payload;
-  msg.trace = op.trace;
-  pending_profile_[op_id] = std::move(op);
   Send(std::move(msg));
 }
 
 void FrontEndProcess::HandleProfileReply(const Message& msg) {
   const auto& reply = static_cast<const ProfileReplyPayload&>(*msg.payload);
-  auto it = pending_profile_.find(reply.op_id);
-  if (it == pending_profile_.end()) {
+  std::optional<PendingOp> op = Take(&pending_ops_, reply.op_id);
+  if (!op.has_value()) {
     return;  // Timed out earlier.
   }
-  PendingProfileOp op = std::move(it->second);
-  pending_profile_.erase(it);
-  CancelTimer(op.timeout);
-  RecordSpan(op.trace, "fe.profile_get", op.started, reply.found ? "ok" : "miss");
-  RequestContext* ctx = FindContext(op.request_id);
-  if (ctx == nullptr || ctx->responded_) {
+  RecordSpan(op->trace, ProfileGetOp::kSpan, op->started, reply.found ? "ok" : "miss");
+  RequestContext* ctx = LiveContext(op->request_id);
+  if (ctx == nullptr) {
     return;
   }
+  auto& get = std::get<ProfileGetOp>(op->call);
   if (reply.found) {
     profile_cache_.Put(reply.profile.user_id(), reply.profile);
     profile_cache_gauge_->Set(static_cast<double>(profile_cache_.used_bytes()));
-    op.cb(ctx, true, reply.profile);
+    get.cb(ctx, true, reply.profile);
   } else {
-    op.cb(ctx, false, UserProfile(ctx->request_->user_id));
+    get.cb(ctx, false, UserProfile(ctx->request_->user_id));
   }
 }
 
@@ -523,59 +550,36 @@ void FrontEndProcess::DoPutProfile(RequestContext* ctx, const UserProfile& profi
   payload->profile = profile;
   payload->op_id = op_id;
   payload->reply_to = endpoint();
-  PendingPutOp op;
-  op.request_id = ctx->id_;
-  op.cb = std::move(cb);
-  op.profile = profile;
-  op.trace = ChildSpan(ctx->trace_);
-  op.started = sim()->now();
-  op.timeout = After(CapToBudget(config_.profile_timeout, budget), [this, op_id] {
-    auto it = pending_put_.find(op_id);
-    if (it == pending_put_.end()) {
-      return;
-    }
-    PendingPutOp pending = std::move(it->second);
-    pending_put_.erase(it);
-    RecordSpan(pending.trace, "fe.profile_put", pending.started, "timeout");
-    RequestContext* ctx2 = FindContext(pending.request_id);
-    if (ctx2 != nullptr && !ctx2->responded_) {
-      // Unlike reads there is no BASE fallback: an unacked write is a failure
-      // the client must hear about (it may or may not have committed).
-      pending.cb(ctx2, TimeoutError("profile write unacknowledged"));
-    }
-  });
   Message msg;
+  msg.trace = Track(op_id, ctx, ProfilePutOp{std::move(cb), profile},
+                    CapToBudget(config_.profile_timeout, budget));
   msg.dst = db;
   msg.type = kMsgProfilePut;
   msg.transport = Transport::kReliable;
   msg.size_bytes = 64 + profile.WireSize();
   msg.payload = payload;
-  msg.trace = op.trace;
-  pending_put_[op_id] = std::move(op);
   Send(std::move(msg));
 }
 
 void FrontEndProcess::HandleProfilePutAck(const Message& msg) {
   const auto& ack = static_cast<const ProfilePutAckPayload&>(*msg.payload);
-  auto it = pending_put_.find(ack.op_id);
-  if (it == pending_put_.end()) {
+  std::optional<PendingOp> op = Take(&pending_ops_, ack.op_id);
+  if (!op.has_value()) {
     return;  // Timed out earlier.
   }
-  PendingPutOp op = std::move(it->second);
-  pending_put_.erase(it);
-  CancelTimer(op.timeout);
-  RecordSpan(op.trace, "fe.profile_put", op.started, ack.status.ok() ? "ok" : "refused");
-  RequestContext* ctx = FindContext(op.request_id);
-  if (ctx == nullptr || ctx->responded_) {
+  RecordSpan(op->trace, ProfilePutOp::kSpan, op->started, ack.status.ok() ? "ok" : "refused");
+  RequestContext* ctx = LiveContext(op->request_id);
+  if (ctx == nullptr) {
     return;
   }
+  auto& put = std::get<ProfilePutOp>(op->call);
   if (ack.status.ok()) {
     // Write-through only on a durable commit: a refused write must not leave a
     // phantom profile in the FE cache masking the failure from later reads.
-    profile_cache_.Put(op.profile.user_id(), op.profile);
+    profile_cache_.Put(put.profile.user_id(), put.profile);
     profile_cache_gauge_->Set(static_cast<double>(profile_cache_.used_bytes()));
   }
-  op.cb(ctx, ack.status);
+  put.cb(ctx, ack.status);
 }
 
 // ---------- Cache facility ------------------------------------------------------------
@@ -594,25 +598,19 @@ void FrontEndProcess::DoCacheGet(RequestContext* ctx, const std::string& key,
     cb(ctx, false, nullptr);  // No time to probe == miss (caching is an optimization).
     return;
   }
-  PendingCacheOp op;
-  op.request_id = ctx->id_;
-  op.key = key;
-  op.chain = std::move(chain);
-  op.attempt = 0;
-  op.cb = std::move(cb);
-  SendCacheProbe(std::move(op));
+  SendCacheProbe(ctx->id_, CacheProbeOp{key, std::move(chain), 0, std::move(cb)});
 }
 
-void FrontEndProcess::SendCacheProbe(PendingCacheOp op) {
-  RequestContext* ctx = FindContext(op.request_id);
-  if (ctx == nullptr || ctx->responded_) {
+void FrontEndProcess::SendCacheProbe(uint64_t request_id, CacheProbeOp probe) {
+  RequestContext* ctx = LiveContext(request_id);
+  if (ctx == nullptr) {
     return;
   }
   SimDuration budget = RemainingBudget(ctx);
   if (budget <= 0) {
     // Out of deadline budget mid-chain: the request machinery will convert the
     // late completion anyway; report the op as a miss now.
-    op.cb(ctx, false, nullptr);
+    probe.cb(ctx, false, nullptr);
     return;
   }
   // Fresh op id per probe: a late reply from an abandoned attempt must not be
@@ -620,86 +618,67 @@ void FrontEndProcess::SendCacheProbe(PendingCacheOp op) {
   uint64_t op_id = next_id_++;
   auto payload = std::make_shared<CacheGetPayload>();
   payload->op_id = op_id;
-  payload->key = op.key;
+  payload->key = probe.key;
   payload->reply_to = endpoint();
   payload->deadline = ctx->deadline_;
-  op.trace = ChildSpan(ctx->trace_);
-  op.started = sim()->now();
-  op.timeout = After(CapToBudget(config_.cache_timeout, budget), [this, op_id] {
-    auto it = pending_cache_.find(op_id);
-    if (it == pending_cache_.end()) {
-      return;
-    }
-    RecordSpan(it->second.trace, "fe.cache_get", it->second.started, "timeout");
-    CacheProbeFailed(op_id);
-  });
   Message msg;
-  msg.dst = op.chain[op.attempt];
+  msg.dst = probe.chain[probe.attempt];
+  msg.trace = Track(op_id, ctx, std::move(probe), CapToBudget(config_.cache_timeout, budget));
   msg.type = kMsgCacheGet;
   msg.transport = Transport::kReliable;
   msg.size_bytes = WireSizeOf(*payload);
   msg.payload = payload;
-  msg.trace = op.trace;
-  pending_cache_[op_id] = std::move(op);
   // Harvest's protocol: a fresh TCP connection per cache request (§3.1.5).
   San::SendOptions opts;
   opts.force_new_connection = true;
   Send(std::move(msg), std::move(opts));
 }
 
-void FrontEndProcess::CacheProbeFailed(uint64_t op_id) {
-  auto it = pending_cache_.find(op_id);
-  if (it == pending_cache_.end()) {
-    return;
-  }
-  PendingCacheOp op = std::move(it->second);
-  pending_cache_.erase(it);
-  if (op.attempt + 1 < op.chain.size()) {
+void FrontEndProcess::CacheProbeFailed(PendingOp op) {
+  auto& probe = std::get<CacheProbeOp>(op.call);
+  if (probe.attempt + 1 < probe.chain.size()) {
     // Fail over down the replica chain: the next replica may hold the key (the
     // head may be dead, cold after a membership change, or have evicted it).
-    ++op.attempt;
+    ++probe.attempt;
     cache_failovers_->Increment();
-    SendCacheProbe(std::move(op));
+    SendCacheProbe(op.request_id, std::move(probe));
     return;
   }
-  RequestContext* ctx = FindContext(op.request_id);
-  if (ctx != nullptr && !ctx->responded_) {
-    op.cb(ctx, false, nullptr);  // Whole chain missed or timed out.
+  RequestContext* ctx = LiveContext(op.request_id);
+  if (ctx != nullptr) {
+    probe.cb(ctx, false, nullptr);  // Whole chain missed or timed out.
   }
 }
 
 void FrontEndProcess::HandleCacheReply(const Message& msg) {
   const auto& reply = static_cast<const CacheReplyPayload&>(*msg.payload);
-  auto it = pending_cache_.find(reply.op_id);
-  if (it == pending_cache_.end()) {
+  std::optional<PendingOp> op = Take(&pending_ops_, reply.op_id);
+  if (!op.has_value()) {
     return;  // Probe already abandoned (timeout advanced the chain).
   }
+  RecordSpan(op->trace, CacheProbeOp::kSpan, op->started, reply.hit ? "hit" : "miss");
   if (!reply.hit) {
-    RecordSpan(it->second.trace, "fe.cache_get", it->second.started, "miss");
-    CacheProbeFailed(reply.op_id);
+    CacheProbeFailed(std::move(*op));
     return;
   }
-  PendingCacheOp op = std::move(it->second);
-  pending_cache_.erase(it);
-  CancelTimer(op.timeout);
-  RecordSpan(op.trace, "fe.cache_get", op.started, "hit");
-  RequestContext* ctx = FindContext(op.request_id);
-  if (ctx == nullptr || ctx->responded_) {
+  RequestContext* ctx = LiveContext(op->request_id);
+  if (ctx == nullptr) {
     return;
   }
-  if (op.attempt > 0 && reply.content != nullptr) {
+  auto& probe = std::get<CacheProbeOp>(op->call);
+  if (probe.attempt > 0 && reply.content != nullptr) {
     // Read-repair: a non-head replica answered, so every replica earlier in the
     // chain is missing the key (miss, eviction, or death — a put to a dead
     // endpoint is dropped by the SAN). Re-put so the next read hits the head.
     read_repairs_->Increment();
-    for (size_t i = 0; i < op.attempt; ++i) {
+    for (size_t i = 0; i < probe.attempt; ++i) {
       auto repair = std::make_shared<CachePutPayload>();
-      repair->key = op.key;
+      repair->key = probe.key;
       repair->content = reply.content;
-      SendCachePutTo(op.chain[i], std::move(repair), ChildSpan(ctx->trace_));
+      SendCachePutTo(probe.chain[i], std::move(repair), ChildSpan(ctx->trace_));
     }
   }
-  op.cb(ctx, true, reply.content);
+  probe.cb(ctx, true, reply.content);
 }
 
 void FrontEndProcess::SendCachePutTo(const Endpoint& dst,
@@ -759,50 +738,29 @@ void FrontEndProcess::DoFetch(RequestContext* ctx, const std::string& url,
   payload->url = url;
   payload->reply_to = endpoint();
   payload->deadline = ctx->deadline_;
-  PendingFetchOp op;
-  op.request_id = ctx->id_;
-  op.cb = std::move(cb);
-  op.trace = ChildSpan(ctx->trace_);
-  op.started = sim()->now();
-  op.timeout = After(CapToBudget(config_.fetch_timeout, budget), [this, op_id] {
-    auto it = pending_fetch_.find(op_id);
-    if (it == pending_fetch_.end()) {
-      return;
-    }
-    PendingFetchOp pending = std::move(it->second);
-    pending_fetch_.erase(it);
-    RecordSpan(pending.trace, "fe.fetch", pending.started, "timeout");
-    RequestContext* ctx2 = FindContext(pending.request_id);
-    if (ctx2 != nullptr && !ctx2->responded_) {
-      pending.cb(ctx2, TimeoutError("origin fetch timed out"), nullptr);
-    }
-  });
   Message msg;
+  msg.trace =
+      Track(op_id, ctx, FetchOp{std::move(cb)}, CapToBudget(config_.fetch_timeout, budget));
   msg.dst = options_.origin;
   msg.type = kMsgFetchRequest;
   msg.transport = Transport::kReliable;
   msg.size_bytes = 96 + static_cast<int64_t>(url.size());
   msg.payload = payload;
-  msg.trace = op.trace;
-  pending_fetch_[op_id] = std::move(op);
   Send(std::move(msg));
 }
 
 void FrontEndProcess::HandleFetchResponse(const Message& msg) {
   const auto& reply = static_cast<const FetchResponsePayload&>(*msg.payload);
-  auto it = pending_fetch_.find(reply.op_id);
-  if (it == pending_fetch_.end()) {
+  std::optional<PendingOp> op = Take(&pending_ops_, reply.op_id);
+  if (!op.has_value()) {
     return;
   }
-  PendingFetchOp op = std::move(it->second);
-  pending_fetch_.erase(it);
-  CancelTimer(op.timeout);
-  RecordSpan(op.trace, "fe.fetch", op.started, reply.status.ok() ? "ok" : "error");
-  RequestContext* ctx = FindContext(op.request_id);
-  if (ctx == nullptr || ctx->responded_) {
+  RecordSpan(op->trace, FetchOp::kSpan, op->started, reply.status.ok() ? "ok" : "error");
+  RequestContext* ctx = LiveContext(op->request_id);
+  if (ctx == nullptr) {
     return;
   }
-  op.cb(ctx, reply.status, reply.content);
+  std::get<FetchOp>(op->call).cb(ctx, reply.status, reply.content);
 }
 
 // ---------- Worker dispatch ---------------------------------------------------------------
@@ -861,8 +819,8 @@ void FrontEndProcess::AttemptTask(uint64_t task_id) {
     return;
   }
   PendingTask& task = it->second;
-  RequestContext* ctx = FindContext(task.request_id);
-  if (ctx == nullptr || ctx->responded_) {
+  RequestContext* ctx = LiveContext(task.request_id);
+  if (ctx == nullptr) {
     pending_tasks_.erase(it);
     return;
   }
@@ -995,16 +953,13 @@ void FrontEndProcess::TaskAttemptFailed(uint64_t task_id, bool worker_dead) {
 }
 
 void FrontEndProcess::FailTask(uint64_t task_id, Status status) {
-  auto it = pending_tasks_.find(task_id);
-  if (it == pending_tasks_.end()) {
+  std::optional<PendingTask> task = Take(&pending_tasks_, task_id);
+  if (!task.has_value()) {
     return;
   }
-  PendingTask task = std::move(it->second);
-  pending_tasks_.erase(it);
-  CancelTimer(task.timeout);
-  RequestContext* ctx = FindContext(task.request_id);
-  if (ctx != nullptr && !ctx->responded_) {
-    task.cb(ctx, std::move(status), nullptr);
+  RequestContext* ctx = LiveContext(task->request_id);
+  if (ctx != nullptr) {
+    task->cb(ctx, std::move(status), nullptr);
   }
 }
 
@@ -1044,17 +999,15 @@ void FrontEndProcess::HandleTaskResponse(const Message& msg) {
     TaskAttemptFailed(reply.task_id, /*worker_dead=*/false);
     return;
   }
-  PendingTask task = std::move(it->second);
-  pending_tasks_.erase(it);
-  CancelTimer(task.timeout);
-  RecordSpan(task.attempt_trace, "fe.task_attempt", task.attempt_started,
+  std::optional<PendingTask> task = Take(&pending_tasks_, reply.task_id);
+  RecordSpan(task->attempt_trace, "fe.task_attempt", task->attempt_started,
              reply.status.ok() ? "ok" : "error");
-  stub_.NoteTaskDone(task.worker);
-  RequestContext* ctx = FindContext(task.request_id);
-  if (ctx == nullptr || ctx->responded_) {
+  stub_.NoteTaskDone(task->worker);
+  RequestContext* ctx = LiveContext(task->request_id);
+  if (ctx == nullptr) {
     return;
   }
-  task.cb(ctx, reply.status, reply.output);
+  task->cb(ctx, reply.status, reply.output);
 }
 
 }  // namespace sns

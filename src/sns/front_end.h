@@ -20,8 +20,11 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/cluster/process.h"
@@ -196,11 +199,25 @@ class FrontEndProcess : public Process {
     SimTime enqueued_at = 0;
     SimTime deadline = kTimeNever;
   };
-  // Facility ops carry their own child span ([send .. reply/timeout]) so the
-  // server-side span nests inside and wire time is visible as the FE span's
-  // self time.
-  struct PendingCacheOp {
-    uint64_t request_id = 0;
+  // Facility calls awaiting a reply: profile get/put, origin fetch and cache
+  // probe. All kinds share one table and one lifetime — Track arms the timeout,
+  // and whichever of reply or timeout comes first Takes the op. Each kind
+  // carries its typed callback plus whatever its reply or timeout fallback needs.
+  struct ProfileGetOp {
+    static constexpr const char* kSpan = "fe.profile_get";
+    RequestContext::ProfileCb cb;
+  };
+  struct ProfilePutOp {
+    static constexpr const char* kSpan = "fe.profile_put";
+    RequestContext::PutCb cb;
+    UserProfile profile;  // Cached (write-through) only once the DB acks.
+  };
+  struct FetchOp {
+    static constexpr const char* kSpan = "fe.fetch";
+    RequestContext::ContentCb cb;
+  };
+  struct CacheProbeOp {
+    static constexpr const char* kSpan = "fe.cache_get";
     std::string key;
     // Replica chain captured at issue time: probe chain[attempt], and on a miss
     // or timeout fail over to the next replica. Each probe gets a fresh op id so
@@ -209,31 +226,16 @@ class FrontEndProcess : public Process {
     std::vector<Endpoint> chain;
     size_t attempt = 0;
     RequestContext::CacheCb cb;
-    TraceContext trace;  // Current attempt's span.
-    SimTime started = 0;
-    EventId timeout = kInvalidEventId;
   };
-  struct PendingProfileOp {
+  using FacilityCall = std::variant<ProfileGetOp, ProfilePutOp, FetchOp, CacheProbeOp>;
+  struct PendingOp {
     uint64_t request_id = 0;
-    RequestContext::ProfileCb cb;
+    // The op's own child span, [send .. reply/timeout]: the server-side span
+    // nests inside, so wire time shows as this span's self time.
     TraceContext trace;
     SimTime started = 0;
     EventId timeout = kInvalidEventId;
-  };
-  struct PendingFetchOp {
-    uint64_t request_id = 0;
-    RequestContext::ContentCb cb;
-    TraceContext trace;
-    SimTime started = 0;
-    EventId timeout = kInvalidEventId;
-  };
-  struct PendingPutOp {
-    uint64_t request_id = 0;
-    RequestContext::PutCb cb;
-    UserProfile profile;  // Cached (write-through) only once the DB acks.
-    TraceContext trace;
-    SimTime started = 0;
-    EventId timeout = kInvalidEventId;
+    FacilityCall call;
   };
 
   // --- Message handlers -----------------------------------------------------------
@@ -251,6 +253,9 @@ class FrontEndProcess : public Process {
   void FinishRequest(RequestContext* ctx, const Status& status, const ContentPtr& content,
                      ResponseSource source, bool cache_hit);
   RequestContext* FindContext(uint64_t request_id);
+  // The request's context while it still awaits its response, else null: a
+  // facility callback runs only for a live request.
+  RequestContext* LiveContext(uint64_t request_id);
   // Dequeues queued requests into free threads, dropping expired entries on the way.
   void DrainAcceptQueue();
   // Evicts every expired entry from the accept queue (the periodic sweep, so an
@@ -265,6 +270,28 @@ class FrontEndProcess : public Process {
     return budget == kTimeNever ? timeout : std::min(timeout, budget);
   }
 
+  // --- Pending facility calls ----------------------------------------------------------
+  // Opens the call's child span of `ctx`, arms its timeout and tracks it under
+  // `op_id`; returns the span to stamp on the request message. If no reply
+  // Takes the op first, the timeout does and runs OpTimedOut.
+  TraceContext Track(uint64_t op_id, RequestContext* ctx, FacilityCall call,
+                     SimDuration timeout);
+  // Closes a timed-out call's span as "timeout" and runs its kind's fallback.
+  void OpTimedOut(PendingOp op);
+  // Removes the op tracked under `id` and cancels its timeout; empty if a reply
+  // or the timeout already took it.
+  template <typename Op>
+  std::optional<Op> Take(std::unordered_map<uint64_t, Op>* table, uint64_t id) {
+    auto it = table->find(id);
+    if (it == table->end()) {
+      return std::nullopt;
+    }
+    std::optional<Op> op(std::move(it->second));
+    table->erase(it);
+    CancelTimer(op->timeout);
+    return op;
+  }
+
   // --- Facilities used by RequestContext ---------------------------------------------
   void DoGetProfile(RequestContext* ctx, RequestContext::ProfileCb cb);
   void DoPutProfile(const UserProfile& profile);
@@ -272,10 +299,10 @@ class FrontEndProcess : public Process {
                     RequestContext::PutCb cb);
   void DoCacheGet(RequestContext* ctx, const std::string& key, RequestContext::CacheCb cb);
   void DoCachePut(RequestContext* ctx, const std::string& key, ContentPtr content);
-  // Sends the probe for `op`'s current attempt under a fresh op id.
-  void SendCacheProbe(PendingCacheOp op);
+  // Sends the probe for `probe`'s current attempt under a fresh op id.
+  void SendCacheProbe(uint64_t request_id, CacheProbeOp probe);
   // A probe missed or timed out: advance down the chain or complete as a miss.
-  void CacheProbeFailed(uint64_t op_id);
+  void CacheProbeFailed(PendingOp op);
   void SendCachePutTo(const Endpoint& dst, std::shared_ptr<CachePutPayload> payload,
                       const TraceContext& trace);
   void DoFetch(RequestContext* ctx, const std::string& url, RequestContext::ContentCb cb);
@@ -312,10 +339,7 @@ class FrontEndProcess : public Process {
   int peak_active_ = 0;
 
   std::unordered_map<uint64_t, PendingTask> pending_tasks_;
-  std::unordered_map<uint64_t, PendingCacheOp> pending_cache_;
-  std::unordered_map<uint64_t, PendingProfileOp> pending_profile_;
-  std::unordered_map<uint64_t, PendingFetchOp> pending_fetch_;
-  std::unordered_map<uint64_t, PendingPutOp> pending_put_;
+  std::unordered_map<uint64_t, PendingOp> pending_ops_;
 
   // Write-through (§3.1.4), byte-bounded: millions of distinct users must not
   // grow FE memory without limit.

@@ -29,7 +29,7 @@ void Logger::Write(LogLevel level, const char* component, const std::string& mes
   }
   std::string line;
   if (time_source_) {
-    line += "[" + FormatTime(time_source_()) + "] ";
+    line.append("[").append(FormatTime(time_source_())).append("] ");
   }
   line += tag;
   line += " ";

@@ -28,6 +28,7 @@ class TestProcess : public Process {
   }
 
   using Process::After;
+  using Process::CancelTimer;
   using Process::RunOnCpu;
   using Process::Send;
 
@@ -123,6 +124,67 @@ TEST_F(ClusterTest, CpuCompletionsDieWithProcess) {
   cluster_.Crash(pid);
   sim_.RunFor(Seconds(5));
   EXPECT_FALSE(fired);
+}
+
+TEST_F(ClusterTest, PendingWorkOfCrashedProcessStaysDeadAcrossRespawn) {
+  // Pending work is not cancelled at the crash; it checks its owner when it
+  // fires. Neither a restarted node nor a successor process on it (a new pid)
+  // may revive it.
+  NodeId node = cluster_.AddNode();
+  std::vector<std::string> log;
+  ProcessId pid = cluster_.Spawn(node, std::make_unique<TestProcess>(&log));
+  auto* p = static_cast<TestProcess*>(cluster_.Find(pid));
+  bool timer_fired = false;
+  bool cpu_fired = false;
+  p->After(Seconds(2), [&timer_fired] { timer_fired = true; });
+  p->RunOnCpu(Seconds(2), [&cpu_fired] { cpu_fired = true; });
+  cluster_.CrashNode(node);
+  cluster_.RestartNode(node);
+  ProcessId successor = cluster_.Spawn(node, std::make_unique<TestProcess>(&log));
+  ASSERT_NE(successor, kInvalidProcess);
+  ASSERT_NE(successor, pid);
+  auto* q = static_cast<TestProcess*>(cluster_.Find(successor));
+  bool successor_timer = false;
+  bool successor_cpu = false;
+  q->After(Seconds(3), [&successor_timer] { successor_timer = true; });
+  q->RunOnCpu(Seconds(1), [&successor_cpu] { successor_cpu = true; });
+  sim_.RunFor(Seconds(5));
+  EXPECT_FALSE(timer_fired);
+  EXPECT_FALSE(cpu_fired);
+  EXPECT_TRUE(successor_timer);
+  EXPECT_TRUE(successor_cpu);
+}
+
+TEST_F(ClusterTest, CpuCompletionOfCrashedProcessDiesOnLiveNode) {
+  // Only the process crashes: the node's CPU queue survives, so the owner check
+  // alone must drop the completion, even with a successor on the same node.
+  NodeId node = cluster_.AddNode();
+  std::vector<std::string> log;
+  ProcessId pid = cluster_.Spawn(node, std::make_unique<TestProcess>(&log));
+  auto* p = static_cast<TestProcess*>(cluster_.Find(pid));
+  bool cpu_fired = false;
+  p->RunOnCpu(Seconds(1), [&cpu_fired] { cpu_fired = true; });
+  cluster_.Crash(pid);
+  ASSERT_NE(cluster_.Spawn(node, std::make_unique<TestProcess>(&log)), kInvalidProcess);
+  sim_.RunFor(Seconds(5));
+  EXPECT_FALSE(cpu_fired);
+}
+
+TEST_F(ClusterTest, CancelTimerOnFiredIdIsNoOp) {
+  NodeId node = cluster_.AddNode();
+  std::vector<std::string> log;
+  ProcessId pid = cluster_.Spawn(node, std::make_unique<TestProcess>(&log));
+  auto* p = static_cast<TestProcess*>(cluster_.Find(pid));
+  int fired = 0;
+  EventId first = p->After(Seconds(1), [&fired] { ++fired; });
+  sim_.RunFor(Seconds(2));
+  ASSERT_EQ(fired, 1);
+  // The next timer may reuse the fired event's slot; the stale id must not
+  // cancel it.
+  p->After(Seconds(1), [&fired] { fired += 10; });
+  p->CancelTimer(first);
+  sim_.RunFor(Seconds(2));
+  EXPECT_EQ(fired, 11);
 }
 
 TEST_F(ClusterTest, CpuIsFifoPerNode) {

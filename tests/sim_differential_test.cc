@@ -151,8 +151,8 @@ TEST(SimDifferentialTest, RandomizedChurnMatchesReference) {
 }
 
 TEST(SimDifferentialTest, RearmHeavySequences) {
-  // Rapid cancel-and-reschedule of the same logical timer, the OneShotTimer
-  // rearm pattern, across placement classes.
+  // Rapid cancel-and-reschedule of the same logical timer, the rearm pattern
+  // of a resettable timeout, across placement classes.
   Rng rng(99);
   DifferentialHarness h;
   for (int round = 0; round < 500; ++round) {

@@ -298,29 +298,5 @@ TEST(PeriodicTimerTest, DestructionCancels) {
   EXPECT_EQ(fired, 0);
 }
 
-TEST(OneShotTimerTest, FiresOnceAndRearms) {
-  Simulator sim;
-  int fired = 0;
-  OneShotTimer timer(&sim);
-  timer.Arm(Seconds(1), [&] { ++fired; });
-  EXPECT_TRUE(timer.armed());
-  sim.RunFor(Seconds(2));
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(timer.armed());
-  timer.Arm(Seconds(1), [&] { fired += 10; });
-  sim.RunFor(Seconds(2));
-  EXPECT_EQ(fired, 11);
-}
-
-TEST(OneShotTimerTest, RearmReplacesPending) {
-  Simulator sim;
-  int value = 0;
-  OneShotTimer timer(&sim);
-  timer.Arm(Seconds(1), [&] { value = 1; });
-  timer.Arm(Seconds(2), [&] { value = 2; });
-  sim.RunFor(Seconds(5));
-  EXPECT_EQ(value, 2);
-}
-
 }  // namespace
 }  // namespace sns

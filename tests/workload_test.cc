@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/content/gif_codec.h"
 #include "src/content/html.h"
 #include "src/content/jpeg_codec.h"
+#include "src/content/mime.h"
 #include "src/util/stats.h"
 #include "src/workload/content_universe.h"
 #include "src/workload/size_model.h"
@@ -52,6 +55,10 @@ struct MeanCase {
   double paper_mean;
   double tolerance;
 };
+
+// Names each case by its type: the default printer dumps the struct's bytes,
+// padding included, so test names would change from run to run.
+void PrintTo(const MeanCase& c, std::ostream* os) { *os << MimeTypeName(c.mime); }
 
 class SizeMeanSweep : public ::testing::TestWithParam<MeanCase> {};
 
