@@ -15,7 +15,6 @@
 
 #include "src/obs/critical_path.h"
 #include "src/obs/perfetto.h"
-#include "src/obs/profiler.h"
 #include "src/services/transend/transend.h"
 #include "src/util/strings.h"
 #include "src/workload/trace.h"
@@ -45,50 +44,12 @@ inline ContentUniverseConfig FixedJpegUniverse(int64_t urls) {
   return config;
 }
 
-// Writes the run's machine-readable observability artifact (the uniform
-// BENCH_<name>.json schema every bench binary emits):
-//   {"meta":{"schema_version":2,"bench":..,"time_ns":..},
-//    "snapshot":..,       monitor JSON (every registry metric, components, alarms)
-//    "timeseries":..,     columnar ring-buffer samples from the flight recorder
-//    "critical_path":..,  per-stage latency decomposition over retained traces
-//    "availability":..,   harvest/yield ledger: windowed yield+harvest, faults,
-//                         recovery gaps (DESIGN.md §15)
-//    "profile":..,        wall-clock zone profiler snapshot (empty object fields
-//                         when the profiler was not enabled for the run)
-//    "traces":...}        raw span trees
-// Returns false if the file could not be opened.
-inline bool DumpRunArtifact(SnsSystem* system, const std::string& path,
-                            const std::string& bench_name) {
-  MonitorProcess* monitor = system->monitor();
-  // Without a monitor (with_monitor=false topologies) fall back to the bare
-  // registry so the artifact still carries the metrics.
-  std::string snapshot = monitor != nullptr ? monitor->ExportJson()
-                                            : system->metrics()->RenderJson();
-  std::string timeseries =
-      system->recorder() != nullptr ? system->recorder()->ToJson() : "{}";
-  CriticalPathSummary paths = CriticalPathSummary::FromCollector(*system->tracer());
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  std::fprintf(
-      f,
-      "{\"meta\":{\"schema_version\":2,\"bench\":\"%s\",\"time_ns\":%lld},"
-      "\"snapshot\":%s,\"timeseries\":%s,\"critical_path\":%s,"
-      "\"availability\":%s,\"profile\":%s,\"traces\":%s}\n",
-      JsonEscape(bench_name).c_str(), static_cast<long long>(system->sim()->now()),
-      snapshot.c_str(), timeseries.c_str(), paths.ToJson().c_str(),
-      system->availability()->ToJson(system->event_log()).c_str(),
-      Profiler::Get().ToJson().c_str(), system->tracer()->ToJson().c_str());
-  std::fclose(f);
-  return true;
-}
-
-// Emits the run artifact under the uniform name "BENCH_<name>.json" in the
-// current directory, and a Chrome-trace timeline ("BENCH_<name>.trace.json",
-// openable in ui.perfetto.dev) alongside it.
+// Emits the run artifact (src/obs/artifact.h) under the uniform name
+// "BENCH_<name>.json" in the current directory, and a Chrome-trace timeline
+// ("BENCH_<name>.trace.json", openable in ui.perfetto.dev) alongside it.
 inline bool DumpBenchArtifact(SnsSystem* system, const std::string& bench_name) {
-  bool ok = DumpRunArtifact(system, "BENCH_" + bench_name + ".json", bench_name);
+  bool ok = WriteRunArtifact("BENCH_" + bench_name + ".json",
+                             CollectRunArtifact(system, bench_name));
   std::string trace = ExportChromeTrace(*system->tracer(), system->event_log());
   std::FILE* f = std::fopen(("BENCH_" + bench_name + ".trace.json").c_str(), "w");
   if (f != nullptr) {

@@ -27,6 +27,7 @@
 #include "src/content/image.h"
 #include "src/content/jpeg_codec.h"
 #include "src/net/san.h"
+#include "src/obs/artifact.h"
 #include "src/obs/availability.h"
 #include "src/obs/profiler.h"
 #include "src/services/hotbot/inverted_index.h"
@@ -328,32 +329,27 @@ bool WriteArtifact(const std::map<std::string, double>& rates) {
   };
   double churn_wheel = rate_of("BM_ChurnScheduleCancel_Wheel");
   double churn_heap = rate_of("BM_ChurnScheduleCancel_SeedHeap");
+  double churn_speedup = churn_heap > 0 ? churn_wheel / churn_heap : 0.0;
   double blend_wheel = rate_of("BM_FarNearBlend_Wheel");
   double blend_heap = rate_of("BM_FarNearBlend_SeedHeap");
-  std::FILE* f = std::fopen("BENCH_micro_substrate.json", "w");
-  if (f == nullptr) {
-    return false;
-  }
   // No cluster runs here, so the availability section is an empty ledger
   // (offered=0); the profile section is this binary's main payload.
-  std::fprintf(
-      f,
-      "{\"meta\":{\"schema_version\":2,\"bench\":\"micro_substrate\",\"time_ns\":0},"
-      "\"snapshot\":{\"events_per_sec\":{%s},"
-      "\"speedup_churn_wheel_vs_heap\":%.3f,"
-      "\"speedup_blend_wheel_vs_heap\":%.3f},"
-      "\"timeseries\":{},\"critical_path\":{},"
-      "\"availability\":%s,\"profile\":%s,\"traces\":{}}\n",
-      events.c_str(), churn_heap > 0 ? churn_wheel / churn_heap : 0.0,
-      blend_heap > 0 ? blend_wheel / blend_heap : 0.0,
-      AvailabilityLedger().ToJson(nullptr).c_str(),
-      Profiler::Get().ToJson().c_str());
-  std::fclose(f);
+  RunArtifact artifact;
+  artifact.bench = "micro_substrate";
+  artifact.snapshot = StrFormat(
+      "{\"events_per_sec\":{%s},\"speedup_churn_wheel_vs_heap\":%.3f,"
+      "\"speedup_blend_wheel_vs_heap\":%.3f}",
+      events.c_str(), churn_speedup,
+      blend_heap > 0 ? blend_wheel / blend_heap : 0.0);
+  artifact.availability = AvailabilityLedger().ToJson(nullptr);
+  artifact.profile = Profiler::Get().ToJson();
+  if (!WriteRunArtifact("BENCH_micro_substrate.json", artifact)) {
+    return false;
+  }
   std::printf("\nartifacts: BENCH_micro_substrate.json "
               "(churn speedup wheel/heap: %.2fx; profile coverage %.1f%%, "
               "self-overhead %.2f%%)\n",
-              churn_heap > 0 ? churn_wheel / churn_heap : 0.0,
-              100.0 * Profiler::Get().Coverage(),
+              churn_speedup, 100.0 * Profiler::Get().Coverage(),
               100.0 * Profiler::Get().SelfOverhead());
   return true;
 }

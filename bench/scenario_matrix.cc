@@ -5,25 +5,17 @@
 //   scenario_matrix --smoke                run every smoke-matrix cell
 //   scenario_matrix --cell NAME [...]      run the named cell(s) only
 //   scenario_matrix --out-dir DIR          artifact directory (default ".")
-//   scenario_matrix --distort-goodput X    scale the *artifact's* goodput by X
-//   scenario_matrix --suffix S             artifact file-name suffix
 //
 // Exit status is nonzero if any cell violates a quiesce invariant or fails to
 // write its artifact — the matrix-smoke ctest label treats this binary as the
 // fixture setup for the per-cell validate + baseline-diff steps.
-// --distort-goodput exists solely for the regression-guard test: it perturbs
-// the emitted metric (never the run itself) so CI can prove tools/bench_diff
-// catches an injected goodput regression.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/scenario/matrix.h"
 #include "src/scenario/scenario.h"
-#include "src/util/strings.h"
 
 namespace sns {
 namespace {
@@ -45,14 +37,9 @@ int Run(int argc, char** argv) {
       wanted.push_back(argv[++i]);
     } else if (arg == "--out-dir" && i + 1 < argc) {
       options.artifact_dir = argv[++i];
-    } else if (arg == "--distort-goodput" && i + 1 < argc) {
-      options.distort_goodput = std::atof(argv[++i]);
-    } else if (arg == "--suffix" && i + 1 < argc) {
-      options.artifact_suffix = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--list] [--smoke] [--cell NAME ...] [--out-dir DIR] "
-                   "[--distort-goodput X] [--suffix S]\n",
+                   "usage: %s [--list] [--smoke] [--cell NAME ...] [--out-dir DIR]\n",
                    argv[0]);
       return 2;
     }

@@ -8,9 +8,8 @@
 
 #include "src/chaos/campaign.h"
 #include "src/cluster/failure_injector.h"
-#include "src/obs/critical_path.h"
+#include "src/obs/artifact.h"
 #include "src/obs/metrics.h"
-#include "src/obs/profiler.h"
 #include "src/services/transend/transend.h"
 #include "src/util/strings.h"
 #include "src/workload/trace.h"
@@ -148,13 +147,13 @@ TranSendOptions CellOptions(const ScenarioCell& cell) {
   return options;
 }
 
-std::string MetricsJson(const CellMetrics& m, double distort_goodput) {
+std::string MetricsJson(const CellMetrics& m) {
   return StrFormat(
       "{\"latency_p50_s\":%.9g,\"latency_p99_s\":%.9g,\"goodput\":%.9g,"
       "\"hit_rate\":%.9g,\"recovery_s\":%.9g,\"yield\":%.9g,\"harvest\":%.9g,"
       "\"sent\":%lld,\"completed\":%lld,"
       "\"errors\":%lld,\"timeouts\":%lld,\"late_completions\":%lld}",
-      m.latency_p50_s, m.latency_p99_s, m.goodput * distort_goodput, m.hit_rate,
+      m.latency_p50_s, m.latency_p99_s, m.goodput, m.hit_rate,
       m.recovery_s, m.yield, m.harvest, static_cast<long long>(m.sent),
       static_cast<long long>(m.completed), static_cast<long long>(m.errors),
       static_cast<long long>(m.timeouts),
@@ -164,12 +163,12 @@ std::string MetricsJson(const CellMetrics& m, double distort_goodput) {
 }  // namespace
 
 std::string BaselineJson(const CellResult& result) {
-  return StrFormat("{\"schema_version\":2,\"cell\":\"%s\",\"metrics\":%s}\n",
-                   JsonEscape(result.cell.Name()).c_str(),
-                   MetricsJson(result.metrics, 1.0).c_str());
+  return StrFormat("{\"schema_version\":%d,\"cell\":\"%s\",\"metrics\":%s}\n",
+                   kArtifactSchemaVersion, JsonEscape(result.cell.Name()).c_str(),
+                   MetricsJson(result.metrics).c_str());
 }
 
-std::string MatrixSectionJson(const CellResult& result, double distort_goodput) {
+std::string MatrixSectionJson(const CellResult& result) {
   const ScenarioCell& cell = result.cell;
   std::string cluster = StrFormat(
       "{\"worker_pool_nodes\":%d,\"front_ends\":%d,\"cache_nodes\":%d,"
@@ -188,44 +187,8 @@ std::string MatrixSectionJson(const CellResult& result, double distort_goodput) 
       result.invariants.ok() ? "true" : "false",
       result.invariants.violations.size(),
       static_cast<long long>(result.faults_injected),
-      MetricsJson(result.metrics, distort_goodput).c_str());
+      MetricsJson(result.metrics).c_str());
 }
-
-namespace {
-
-// Writes the uniform BENCH artifact (schema v2: snapshot, timeseries,
-// critical_path, availability, profile, traces) plus the cell's "matrix"
-// section (the validator allows extra top-level keys, so matrix artifacts pass
-// the same schema check as every other bench artifact).
-bool WriteCellArtifact(SnsSystem* system, const CellResult& result,
-                       const CellRunOptions& options, const std::string& path) {
-  MonitorProcess* monitor = system->monitor();
-  std::string snapshot = monitor != nullptr ? monitor->ExportJson()
-                                            : system->metrics()->RenderJson();
-  std::string timeseries =
-      system->recorder() != nullptr ? system->recorder()->ToJson() : "{}";
-  CriticalPathSummary paths = CriticalPathSummary::FromCollector(*system->tracer());
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  std::fprintf(
-      f,
-      "{\"meta\":{\"schema_version\":2,\"bench\":\"%s\",\"time_ns\":%lld},"
-      "\"snapshot\":%s,\"timeseries\":%s,\"critical_path\":%s,"
-      "\"availability\":%s,\"profile\":%s,\"traces\":%s,"
-      "\"matrix\":%s}\n",
-      JsonEscape("matrix_" + result.cell.Name()).c_str(),
-      static_cast<long long>(system->sim()->now()), snapshot.c_str(),
-      timeseries.c_str(), paths.ToJson().c_str(),
-      system->availability()->ToJson(system->event_log()).c_str(),
-      Profiler::Get().ToJson().c_str(), system->tracer()->ToJson().c_str(),
-      MatrixSectionJson(result, options.distort_goodput).c_str());
-  std::fclose(f);
-  return true;
-}
-
-}  // namespace
 
 CellResult RunScenarioCell(const ScenarioCell& cell, const CellRunOptions& options) {
   CellResult result;
@@ -418,10 +381,13 @@ CellResult RunScenarioCell(const ScenarioCell& cell, const CellRunOptions& optio
   result.availability_table = system->availability()->RenderTable(system->event_log());
 
   if (!options.artifact_dir.empty()) {
-    std::string path = options.artifact_dir + "/BENCH_matrix_" + cell.Name() +
-                       options.artifact_suffix + ".json";
-    result.artifact_written = WriteCellArtifact(system, result, options, path);
-    result.artifact_path = path;
+    // The uniform run artifact plus the cell's "matrix" section, so matrix
+    // artifacts pass the same schema check as every other bench artifact.
+    result.artifact_path =
+        options.artifact_dir + "/BENCH_matrix_" + cell.Name() + ".json";
+    result.artifact_written = WriteRunArtifact(
+        result.artifact_path, CollectRunArtifact(system, "matrix_" + cell.Name()),
+        {{"matrix", MatrixSectionJson(result)}});
   }
   return result;
 }

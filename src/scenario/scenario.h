@@ -126,14 +126,6 @@ struct CellResult {
 struct CellRunOptions {
   // Directory receiving BENCH_matrix_<cell>.json; empty = no artifact.
   std::string artifact_dir;
-  // Artifact-only multiplier applied to the emitted goodput metric. The run's
-  // real CellResult is untouched. Exists so the matrix-smoke regression guard
-  // can prove bench_diff catches an injected goodput regression (a WILL_FAIL
-  // ctest runs one cell with 0.8 and diffs it against the blessed baseline).
-  double distort_goodput = 1.0;
-  // Appended to the artifact *file name* (not the cell name), so a distorted
-  // artifact can sit next to the genuine one.
-  std::string artifact_suffix;
 };
 
 // Builds the cell's cluster, runs warmup + load + faults + drain + settle,
@@ -147,12 +139,13 @@ CellResult RunScenarioCell(const ScenarioCell& cell, const CellRunOptions& optio
 int64_t LongestZeroCompletionGap(const std::map<int64_t, int64_t>& completions_per_second,
                                  int64_t from_s, int64_t to_s);
 
-// Baseline-file JSON for one cell: {"schema_version":2,"cell":...,"metrics":...}.
+// Baseline-file JSON for one cell: {"schema_version":...,"cell":...,"metrics":...}
+// with the artifact schema version (src/obs/artifact.h).
 // tools/bless_baseline writes these; tools/bench_diff reads them back.
 std::string BaselineJson(const CellResult& result);
 
 // The artifact's "matrix" section (cell spec + invariant verdict + metrics).
-std::string MatrixSectionJson(const CellResult& result, double distort_goodput = 1.0);
+std::string MatrixSectionJson(const CellResult& result);
 
 }  // namespace sns
 

@@ -1,6 +1,8 @@
 #include "src/sns/system.h"
 
 #include "src/cluster/failure_injector.h"
+#include "src/obs/critical_path.h"
+#include "src/obs/profiler.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
 
@@ -435,6 +437,23 @@ int64_t SnsSystem::TotalErrorResponses() const {
     total += fe->error_responses();
   }
   return total;
+}
+
+RunArtifact CollectRunArtifact(SnsSystem* system, const std::string& bench) {
+  RunArtifact artifact;
+  artifact.bench = bench;
+  artifact.time_ns = system->sim()->now();
+  MonitorProcess* monitor = system->monitor();
+  artifact.snapshot =
+      monitor != nullptr ? monitor->ExportJson() : system->metrics()->RenderJson();
+  if (system->recorder() != nullptr) {
+    artifact.timeseries = system->recorder()->ToJson();
+  }
+  artifact.critical_path = CriticalPathSummary::FromCollector(*system->tracer()).ToJson();
+  artifact.availability = system->availability()->ToJson(system->event_log());
+  artifact.profile = Profiler::Get().ToJson();
+  artifact.traces = system->tracer()->ToJson();
+  return artifact;
 }
 
 }  // namespace sns

@@ -21,6 +21,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/net/san.h"
+#include "src/obs/artifact.h"
 #include "src/obs/availability.h"
 #include "src/obs/events.h"
 #include "src/quorum/fencing.h"
@@ -226,6 +227,11 @@ class SnsSystem : public ComponentLauncher {
   ProcessId origin_pid_ = kInvalidProcess;
   Endpoint origin_endpoint_;
 };
+
+// The run-artifact sections of `system` at the current simulated time, under the
+// name `bench` (write them with WriteRunArtifact). Without a monitor
+// (with_monitor=false topologies) the snapshot is the bare metrics registry.
+RunArtifact CollectRunArtifact(SnsSystem* system, const std::string& bench);
 
 }  // namespace sns
 

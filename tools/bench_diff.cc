@@ -21,326 +21,98 @@
 //                   toward approximate/degraded answers trips the gate)
 //
 // (upper-bounded metrics may improve freely; lower-bounded ones likewise).
-// Other metrics in the baseline (sent, completed, ...) are informational.
-// Any regression, missing metric, NaN/Inf value, or cell-name mismatch exits
-// nonzero. Like validate_bench_artifact, this is dependency-free: a minimal
-// strict JSON reader, no third-party parser. The number scanner enforces the
-// JSON grammar, so "NaN"/"Infinity" (which strtod would happily accept) are
-// malformed input here.
+// Every baseline must carry all seven gated metrics; other metrics in it
+// (sent, completed, ...) are informational. Any regression, missing metric,
+// NaN/Inf value, malformed or trailing JSON, or cell-name mismatch exits
+// nonzero. Both files are read with the strict src/util/json_reader.h.
 
 #include <sys/stat.h>
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
-#include <vector>
 
+#include "src/obs/artifact.h"
+#include "src/util/json_reader.h"
+
+namespace sns {
 namespace {
 
 struct MetricsDoc {
   std::string cell;
   std::map<std::string, double> metrics;
-  double schema_version = -1;
+  int64_t schema_version = -1;
 };
 
-struct Parser {
-  const char* p;
-  const char* end;
-  std::string error;
-
-  explicit Parser(const std::string& text)
-      : p(text.data()), end(text.data() + text.size()) {}
-
-  bool Fail(const std::string& what) {
-    if (error.empty()) {
-      error = what;
-    }
-    return false;
-  }
-
-  void SkipWs() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-      ++p;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
-    }
-    return Fail(std::string("expected '") + c + "'");
-  }
-
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (p >= end || *p != '"') {
-      return Fail("expected string");
-    }
-    ++p;
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        ++p;
-        if (p >= end) {
-          return Fail("truncated escape");
-        }
-        if (*p == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++p;
-            if (p >= end || !isxdigit(static_cast<unsigned char>(*p))) {
-              return Fail("bad \\u escape");
-            }
-          }
-          if (out != nullptr) out->push_back('?');
-        } else if (std::strchr("\"\\/bfnrt", *p) != nullptr) {
-          if (out != nullptr) out->push_back(*p);
-        } else {
-          return Fail("bad escape character");
-        }
-        ++p;
-      } else {
-        if (out != nullptr) out->push_back(*p);
-        ++p;
-      }
-    }
-    if (p >= end) {
-      return Fail("unterminated string");
-    }
-    ++p;
-    return true;
-  }
-
-  // Strict JSON number: '-'? int frac? exp?, then a finiteness check. Rejects
-  // the NaN/Inf spellings strtod accepts.
-  bool ParseNumber(double* out) {
-    SkipWs();
-    const char* start = p;
-    if (p < end && *p == '-') ++p;
-    if (p >= end || !isdigit(static_cast<unsigned char>(*p))) {
-      return Fail("malformed number");
-    }
-    while (p < end && isdigit(static_cast<unsigned char>(*p))) ++p;
-    if (p < end && *p == '.') {
-      ++p;
-      if (p >= end || !isdigit(static_cast<unsigned char>(*p))) {
-        return Fail("malformed number fraction");
-      }
-      while (p < end && isdigit(static_cast<unsigned char>(*p))) ++p;
-    }
-    if (p < end && (*p == 'e' || *p == 'E')) {
-      ++p;
-      if (p < end && (*p == '+' || *p == '-')) ++p;
-      if (p >= end || !isdigit(static_cast<unsigned char>(*p))) {
-        return Fail("malformed number exponent");
-      }
-      while (p < end && isdigit(static_cast<unsigned char>(*p))) ++p;
-    }
-    double v = std::strtod(std::string(start, p).c_str(), nullptr);
-    if (!std::isfinite(v)) {
-      return Fail("non-finite number");
-    }
-    if (out != nullptr) {
-      *out = v;
-    }
-    return true;
-  }
-
-  bool Literal(const char* word) {
-    SkipWs();
-    for (const char* w = word; *w != '\0'; ++w, ++p) {
-      if (p >= end || *p != *w) {
-        return Fail(std::string("expected '") + word + "'");
-      }
-    }
-    return true;
-  }
-
-  bool SkipValue() {
-    SkipWs();
-    if (p >= end) {
-      return Fail("unexpected end of input");
-    }
-    switch (*p) {
-      case '{': {
-        ++p;
-        SkipWs();
-        if (p < end && *p == '}') {
-          ++p;
-          return true;
-        }
-        while (true) {
-          if (!ParseString(nullptr) || !Consume(':') || !SkipValue()) {
-            return false;
-          }
-          SkipWs();
-          if (p < end && *p == ',') {
-            ++p;
-            continue;
-          }
-          return Consume('}');
-        }
-      }
-      case '[': {
-        ++p;
-        SkipWs();
-        if (p < end && *p == ']') {
-          ++p;
-          return true;
-        }
-        while (true) {
-          if (!SkipValue()) {
-            return false;
-          }
-          SkipWs();
-          if (p < end && *p == ',') {
-            ++p;
-            continue;
-          }
-          return Consume(']');
-        }
-      }
-      case '"':
-        return ParseString(nullptr);
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return ParseNumber(nullptr);
-    }
-  }
-
-  // {"metric": <number>, ...} — every value must be a strict finite number.
-  bool ParseMetricsObject(std::map<std::string, double>* out) {
-    if (!Consume('{')) {
-      return false;
-    }
-    SkipWs();
-    if (p < end && *p == '}') {
-      ++p;
-      return true;
-    }
-    while (true) {
-      std::string key;
-      double value = 0;
-      if (!ParseString(&key) || !Consume(':') || !ParseNumber(&value)) {
-        return false;
-      }
-      (*out)[key] = value;
-      SkipWs();
-      if (p < end && *p == ',') {
-        ++p;
-        continue;
-      }
-      return Consume('}');
-    }
-  }
-
-  // Object carrying "cell" / "metrics" / "schema_version"; other keys skipped.
-  bool ParseCaptureObject(MetricsDoc* doc) {
-    if (!Consume('{')) {
-      return false;
-    }
-    SkipWs();
-    if (p < end && *p == '}') {
-      ++p;
-      return true;
-    }
-    while (true) {
-      std::string key;
-      if (!ParseString(&key) || !Consume(':')) {
-        return false;
-      }
-      if (key == "cell") {
-        if (!ParseString(&doc->cell)) {
-          return false;
-        }
-      } else if (key == "metrics") {
-        if (!ParseMetricsObject(&doc->metrics)) {
-          return false;
-        }
-      } else if (key == "schema_version") {
-        if (!ParseNumber(&doc->schema_version)) {
-          return false;
-        }
-      } else if (!SkipValue()) {
-        return false;
-      }
-      SkipWs();
-      if (p < end && *p == ',') {
-        ++p;
-        continue;
-      }
-      return Consume('}');
-    }
-  }
+// One tolerance rule: the limit is base * scale + slack, and the current value
+// must stay at or below it (upper) or at or above it (lower).
+struct Gate {
+  const char* metric;
+  double scale;
+  double slack;
+  bool upper;
 };
 
-bool ReadFile(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return false;
+constexpr Gate kGates[] = {
+    {"latency_p50_s", 1.35, 0.05, true}, {"latency_p99_s", 1.35, 0.10, true},
+    {"goodput", 0.90, 0.0, false},       {"hit_rate", 1.0, -0.10, false},
+    {"recovery_s", 1.5, 2.0, true},      {"yield", 0.90, 0.0, false},
+    {"harvest", 0.90, 0.0, false},
+};
+
+const Gate* FindGate(const std::string& metric) {
+  for (const Gate& gate : kGates) {
+    if (metric == gate.metric) return &gate;
   }
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out->append(buf, n);
-  }
-  std::fclose(f);
-  return true;
+  return nullptr;
 }
 
-// from_artifact: capture the top-level "matrix" section and skip the rest of
-// the (large) artifact. Otherwise the document itself is the capture object
-// (the baseline-file layout).
+// Reads an object carrying "cell" / "metrics" / "schema_version" (other keys
+// skipped): the artifact's matrix section, or a whole baseline file.
+void ReadMetricsDoc(JsonReader* r, MetricsDoc* doc) {
+  std::string key;
+  std::string metric;
+  if (!r->BeginObject()) return;
+  while (r->NextMember(&key)) {
+    if (key == "cell") {
+      r->ReadString(&doc->cell);
+    } else if (key == "schema_version") {
+      r->ReadInt(&doc->schema_version);
+    } else if (key != "metrics") {
+      r->Skip();
+    } else if (r->BeginObject()) {
+      while (r->NextMember(&metric)) r->ReadNumber(&doc->metrics[metric]);
+    }
+  }
+}
+
+// from_artifact: read the top-level "matrix" section and skip the rest of the
+// (large) artifact. Otherwise the document itself is the baseline object.
 bool ParseDoc(const std::string& text, bool from_artifact, MetricsDoc* doc,
               std::string* error) {
-  Parser parser(text);
+  JsonReader r(text);
+  bool saw_matrix = false;
   if (!from_artifact) {
-    if (!parser.ParseCaptureObject(doc)) {
-      *error = parser.error;
-      return false;
-    }
-  } else {
-    if (!parser.Consume('{')) {
-      *error = "top level is not a JSON object";
-      return false;
-    }
-    bool saw_matrix = false;
-    while (true) {
-      std::string key;
-      if (!parser.ParseString(&key) || !parser.Consume(':')) {
-        *error = "malformed top-level key: " + parser.error;
-        return false;
+    ReadMetricsDoc(&r, doc);
+  } else if (r.BeginObject()) {
+    std::string key;
+    while (r.NextMember(&key)) {
+      if (key == "matrix") {
+        saw_matrix = true;
+        ReadMetricsDoc(&r, doc);
+      } else {
+        r.Skip();
       }
-      bool ok = key == "matrix" ? (saw_matrix = true, parser.ParseCaptureObject(doc))
-                                : parser.SkipValue();
-      if (!ok) {
-        *error = "malformed value for \"" + key + "\": " + parser.error;
-        return false;
-      }
-      parser.SkipWs();
-      if (parser.p < parser.end && *parser.p == ',') {
-        ++parser.p;
-        continue;
-      }
-      if (!parser.Consume('}')) {
-        *error = "unterminated top-level object";
-        return false;
-      }
-      break;
     }
-    if (!saw_matrix) {
-      *error = "artifact has no \"matrix\" section";
-      return false;
-    }
+  }
+  r.ExpectEnd();
+  if (!r.ok()) {
+    *error = r.error();
+    return false;
+  }
+  if (from_artifact && !saw_matrix) {
+    *error = "artifact has no \"matrix\" section";
+    return false;
   }
   if (doc->cell.empty()) {
     *error = "missing \"cell\"";
@@ -353,43 +125,6 @@ bool ParseDoc(const std::string& text, bool from_artifact, MetricsDoc* doc,
   return true;
 }
 
-// Gated tolerance rules. Returns true when `metric` is gated, storing the
-// acceptance verdict and the limit that applied.
-bool GateMetric(const std::string& metric, double base, double current, bool* ok,
-                double* limit, const char** direction) {
-  if (metric == "latency_p50_s") {
-    *limit = base * 1.35 + 0.05;
-    *ok = current <= *limit;
-    *direction = "<=";
-    return true;
-  }
-  if (metric == "latency_p99_s") {
-    *limit = base * 1.35 + 0.10;
-    *ok = current <= *limit;
-    *direction = "<=";
-    return true;
-  }
-  if (metric == "goodput" || metric == "yield" || metric == "harvest") {
-    *limit = base * 0.90;
-    *ok = current >= *limit;
-    *direction = ">=";
-    return true;
-  }
-  if (metric == "hit_rate") {
-    *limit = base - 0.10;
-    *ok = current >= *limit;
-    *direction = ">=";
-    return true;
-  }
-  if (metric == "recovery_s") {
-    *limit = base * 1.5 + 2.0;
-    *ok = current <= *limit;
-    *direction = "<=";
-    return true;
-  }
-  return false;
-}
-
 bool IsDirectory(const std::string& path) {
   struct stat st;
   return stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
@@ -398,7 +133,7 @@ bool IsDirectory(const std::string& path) {
 int DiffOne(const std::string& baseline_arg, bool baseline_is_dir,
             const std::string& artifact_path) {
   std::string text;
-  if (!ReadFile(artifact_path, &text)) {
+  if (!ReadFileToString(artifact_path, &text)) {
     std::fprintf(stderr, "%s: MISSING\n", artifact_path.c_str());
     return 1;
   }
@@ -412,7 +147,7 @@ int DiffOne(const std::string& baseline_arg, bool baseline_is_dir,
   std::string baseline_path =
       baseline_is_dir ? baseline_arg + "/" + current.cell + ".json" : baseline_arg;
   std::string baseline_text;
-  if (!ReadFile(baseline_path, &baseline_text)) {
+  if (!ReadFileToString(baseline_path, &baseline_text)) {
     std::fprintf(stderr, "%s: no baseline %s (bless it with tools/bless_baseline)\n",
                  artifact_path.c_str(), baseline_path.c_str());
     return 1;
@@ -423,12 +158,19 @@ int DiffOne(const std::string& baseline_arg, bool baseline_is_dir,
                  error.c_str());
     return 1;
   }
-  if (baseline.schema_version != 2) {
+  if (baseline.schema_version != kArtifactSchemaVersion) {
     std::fprintf(stderr,
-                 "%s: baseline schema_version is not 2 (re-bless with "
+                 "%s: baseline schema_version is not %d (re-bless with "
                  "tools/bless_baseline)\n",
-                 baseline_path.c_str());
+                 baseline_path.c_str(), kArtifactSchemaVersion);
     return 1;
+  }
+  for (const Gate& gate : kGates) {
+    if (baseline.metrics.count(gate.metric) == 0) {
+      std::fprintf(stderr, "%s: INVALID baseline: gated metric \"%s\" is missing\n",
+                   baseline_path.c_str(), gate.metric);
+      return 1;
+    }
   }
   if (baseline.cell != current.cell) {
     std::fprintf(stderr, "%s: cell \"%s\" does not match baseline cell \"%s\"\n",
@@ -439,21 +181,21 @@ int DiffOne(const std::string& baseline_arg, bool baseline_is_dir,
   int regressions = 0;
   std::printf("%s (cell %s):\n", artifact_path.c_str(), current.cell.c_str());
   for (const auto& [metric, base] : baseline.metrics) {
-    auto it = current.metrics.find(metric);
-    bool ok = false;
-    double limit = 0;
-    const char* direction = "";
-    if (!GateMetric(metric, base, 0, &ok, &limit, &direction)) {
+    const Gate* gate = FindGate(metric);
+    if (gate == nullptr) {
       continue;  // Informational metric; not gated.
     }
+    auto it = current.metrics.find(metric);
     if (it == current.metrics.end()) {
       std::printf("  %-16s REGRESSION: metric missing from artifact\n", metric.c_str());
       ++regressions;
       continue;
     }
-    GateMetric(metric, base, it->second, &ok, &limit, &direction);
+    double limit = base * gate->scale + gate->slack;
+    bool ok = gate->upper ? it->second <= limit : it->second >= limit;
     std::printf("  %-16s %11.6g vs base %11.6g (need %s %.6g) %s\n", metric.c_str(),
-                it->second, base, direction, limit, ok ? "ok" : "REGRESSION");
+                it->second, base, gate->upper ? "<=" : ">=", limit,
+                ok ? "ok" : "REGRESSION");
     if (!ok) {
       ++regressions;
     }
@@ -462,6 +204,7 @@ int DiffOne(const std::string& baseline_arg, bool baseline_is_dir,
 }
 
 }  // namespace
+}  // namespace sns
 
 int main(int argc, char** argv) {
   if (argc < 3) {
@@ -470,10 +213,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::string baseline_arg = argv[1];
-  bool baseline_is_dir = IsDirectory(baseline_arg);
+  bool baseline_is_dir = sns::IsDirectory(baseline_arg);
   int bad = 0;
   for (int i = 2; i < argc; ++i) {
-    bad += DiffOne(baseline_arg, baseline_is_dir, argv[i]);
+    bad += sns::DiffOne(baseline_arg, baseline_is_dir, argv[i]);
   }
   if (bad > 0) {
     std::fprintf(stderr, "%d artifact(s) regressed\n", bad);

@@ -4,7 +4,8 @@
 //
 // Runs each smoke-matrix cell (all of them by default) and writes
 // DIR/<cell>.json in the baseline layout tools/bench_diff consumes:
-//   {"schema_version":1,"cell":"<name>","metrics":{...}}
+//   {"schema_version":2,"cell":"<name>","metrics":{...}}
+// (the artifact schema version, kArtifactSchemaVersion in src/obs/artifact.h).
 // The simulator is deterministic, so blessing is reproducible: the same build
 // always emits byte-identical baselines. Run from the repo root after any
 // change that legitimately moves the numbers, then commit bench/baselines/.

@@ -1,5 +1,6 @@
 // Validates a BENCH_<name>.json run artifact against the uniform schema every
-// bench binary emits (see bench/bench_common.h::DumpRunArtifact):
+// bench binary emits (see src/obs/artifact.h, which owns the version and the
+// section list):
 //
 //   {"meta":{"schema_version":2,"bench":<non-empty string>,"time_ns":<int>},
 //    "snapshot":{...},"timeseries":{...},"critical_path":{...},
@@ -8,7 +9,8 @@
 // Used by the perf-smoke ctest label: each short-mode bench run is a fixture
 // setup, and this validator is the check that the artifact exists, parses, and
 // carries every top-level section. Exit 0 on success; non-zero with a message
-// on any missing/malformed artifact.
+// on any missing/malformed artifact. The artifact is read with the strict
+// src/util/json_reader.h (no NaN/Inf, no trailing content, bounded nesting).
 //
 // The profile-smoke label additionally gates the profiler's quality figures:
 //   --min-profile-coverage X   require profile.coverage >= X (named root zones
@@ -17,391 +19,111 @@
 //                              profiler cost bound as a wall fraction)
 // Both gates also require profile.enabled == true (an artifact from a run that
 // never enabled the profiler carries no evidence either way).
-//
-// The parser below is a minimal recursive-descent JSON reader — just enough to
-// verify well-formedness and pull out the handful of fields the schema pins
-// down. No third-party JSON dependency.
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "src/obs/artifact.h"
+#include "src/util/json_reader.h"
+
+namespace sns {
 namespace {
 
-struct Parser {
-  const char* p;
-  const char* end;
-  std::string error;
-
-  explicit Parser(const std::string& text)
-      : p(text.data()), end(text.data() + text.size()) {}
-
-  bool Fail(const std::string& what) {
-    if (error.empty()) {
-      error = what;
-    }
-    return false;
-  }
-
-  void SkipWs() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-      ++p;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
-    }
-    return Fail(std::string("expected '") + c + "'");
-  }
-
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (p >= end || *p != '"') {
-      return Fail("expected string");
-    }
-    ++p;
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        ++p;
-        if (p >= end) {
-          return Fail("truncated escape");
-        }
-        switch (*p) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            for (int i = 0; i < 4; ++i) {
-              ++p;
-              if (p >= end || !isxdigit(static_cast<unsigned char>(*p))) {
-                return Fail("bad \\u escape");
-              }
-            }
-            out->push_back('?');  // Validation only; code point not needed.
-            break;
-          }
-          default:
-            return Fail("bad escape character");
-        }
-        ++p;
-      } else {
-        out->push_back(*p);
-        ++p;
-      }
-    }
-    if (p >= end) {
-      return Fail("unterminated string");
-    }
-    ++p;  // closing quote
-    return true;
-  }
-
-  // Validates any JSON value. When `number_out`/`string_out` are non-null and
-  // the value is of that type, the parsed value is stored there.
-  bool ParseValue(double* number_out, std::string* string_out);
-
-  bool ParseObject(std::map<std::string, std::string>* keys_seen) {
-    if (!Consume('{')) {
-      return false;
-    }
-    SkipWs();
-    if (p < end && *p == '}') {
-      ++p;
-      return true;
-    }
-    while (true) {
-      std::string key;
-      if (!ParseString(&key)) {
-        return false;
-      }
-      if (!Consume(':')) {
-        return false;
-      }
-      if (!ParseValue(nullptr, nullptr)) {
-        return false;
-      }
-      if (keys_seen != nullptr) {
-        (*keys_seen)[key] = "";
-      }
-      SkipWs();
-      if (p < end && *p == ',') {
-        ++p;
-        continue;
-      }
-      return Consume('}');
-    }
-  }
-
-  bool ParseArray() {
-    if (!Consume('[')) {
-      return false;
-    }
-    SkipWs();
-    if (p < end && *p == ']') {
-      ++p;
-      return true;
-    }
-    while (true) {
-      if (!ParseValue(nullptr, nullptr)) {
-        return false;
-      }
-      SkipWs();
-      if (p < end && *p == ',') {
-        ++p;
-        continue;
-      }
-      return Consume(']');
-    }
-  }
-
-  // Strict JSON number grammar: '-'? int frac? exp?, then a finiteness check.
-  // strtod alone would silently accept "NaN"/"Infinity" spellings (and a
-  // printf of a NaN metric produces exactly those), so the scanner enforces
-  // the grammar itself and non-finite values are malformed input.
-  bool ParseNumber(double* out) {
-    SkipWs();
-    const char* start = p;
-    if (p < end && *p == '-') {
-      ++p;
-    }
-    if (p >= end || !isdigit(static_cast<unsigned char>(*p))) {
-      return Fail("malformed number (NaN/Inf are not valid JSON)");
-    }
-    while (p < end && isdigit(static_cast<unsigned char>(*p))) ++p;
-    if (p < end && *p == '.') {
-      ++p;
-      if (p >= end || !isdigit(static_cast<unsigned char>(*p))) {
-        return Fail("malformed number fraction");
-      }
-      while (p < end && isdigit(static_cast<unsigned char>(*p))) ++p;
-    }
-    if (p < end && (*p == 'e' || *p == 'E')) {
-      ++p;
-      if (p < end && (*p == '+' || *p == '-')) ++p;
-      if (p >= end || !isdigit(static_cast<unsigned char>(*p))) {
-        return Fail("malformed number exponent");
-      }
-      while (p < end && isdigit(static_cast<unsigned char>(*p))) ++p;
-    }
-    double v = std::strtod(std::string(start, p).c_str(), nullptr);
-    if (!std::isfinite(v)) {
-      return Fail("non-finite number value");
-    }
-    if (out != nullptr) {
-      *out = v;
-    }
-    return true;
-  }
-
-  bool Literal(const char* word) {
-    SkipWs();
-    for (const char* w = word; *w != '\0'; ++w, ++p) {
-      if (p >= end || *p != *w) {
-        return Fail(std::string("expected '") + word + "'");
-      }
-    }
-    return true;
-  }
-};
-
-bool Parser::ParseValue(double* number_out, std::string* string_out) {
-  SkipWs();
-  if (p >= end) {
-    return Fail("unexpected end of input");
-  }
-  switch (*p) {
-    case '{':
-      return ParseObject(nullptr);
-    case '[':
-      return ParseArray();
-    case '"': {
-      std::string s;
-      if (!ParseString(&s)) {
-        return false;
-      }
-      if (string_out != nullptr) {
-        *string_out = s;
-      }
-      return true;
-    }
-    case 't':
-      return Literal("true");
-    case 'f':
-      return Literal("false");
-    case 'n':
-      return Literal("null");
-    default:
-      return ParseNumber(number_out);
-  }
-}
-
-// Profiler quality figures pulled out of the artifact's "profile" section.
-struct ProfileFacts {
-  bool present = false;
-  bool enabled = false;
+// The fields the schema pins, and the profiler quality figures the
+// profile-smoke gates read, as found in one artifact.
+struct ArtifactFacts {
+  std::set<std::string> sections;
+  std::optional<int64_t> schema_version;
+  std::string bench;
+  std::optional<int64_t> time_ns;
+  bool profile_enabled = false;
   double coverage = 0;
   double self_overhead = 1.0;
 };
 
-// Parses the artifact's top level, recording which keys are present and
-// validating the pinned `meta` fields along the way.
-bool ValidateArtifact(const std::string& text, std::string* error,
-                      ProfileFacts* profile) {
-  Parser parser(text);
-  parser.SkipWs();
-  if (!parser.Consume('{')) {
-    *error = "top level is not a JSON object";
-    return false;
+// Reads the meta object. Returns a schema error naming the field whose value
+// has the wrong type, or "" (syntax errors are left in the reader).
+std::string ReadMeta(JsonReader* r, ArtifactFacts* facts) {
+  std::string key;
+  int64_t value = 0;
+  if (!r->BeginObject()) return "";
+  while (r->NextMember(&key)) {
+    if (key == "schema_version") {
+      if (!r->ReadInt(&value)) return "meta.schema_version is not an integer";
+      facts->schema_version = value;
+    } else if (key == "time_ns") {
+      if (!r->ReadInt(&value)) return "meta.time_ns is not an integer";
+      facts->time_ns = value;
+    } else if (key == "bench") {
+      if (!r->ReadString(&facts->bench)) return "meta.bench is not a string";
+    } else {
+      r->Skip();
+    }
   }
-  std::map<std::string, bool> seen;
-  double schema_version = -1;
-  bool has_schema_version = false;
-  std::string bench_name;
-  bool has_time_ns = false;
-  while (true) {
-    std::string key;
-    if (!parser.ParseString(&key) || !parser.Consume(':')) {
-      *error = "malformed top-level key: " + parser.error;
-      return false;
-    }
-    seen[key] = true;
-    if (key == "meta") {
-      // Walk meta's fields individually so schema_version/bench are checked.
-      if (!parser.Consume('{')) {
-        *error = "meta is not an object";
-        return false;
-      }
-      while (true) {
-        std::string meta_key;
-        if (!parser.ParseString(&meta_key) || !parser.Consume(':')) {
-          *error = "malformed meta key: " + parser.error;
-          return false;
-        }
-        double num = -1;
-        std::string str;
-        if (!parser.ParseValue(&num, &str)) {
-          *error = "malformed meta value: " + parser.error;
-          return false;
-        }
-        if (meta_key == "schema_version") {
-          schema_version = num;
-          has_schema_version = true;
-        } else if (meta_key == "bench") {
-          bench_name = str;
-        } else if (meta_key == "time_ns") {
-          has_time_ns = true;
-        }
-        parser.SkipWs();
-        if (parser.p < parser.end && *parser.p == ',') {
-          ++parser.p;
-          continue;
-        }
-        if (!parser.Consume('}')) {
-          *error = "unterminated meta object";
-          return false;
-        }
-        break;
-      }
-    } else if (key == "profile") {
-      // Walk profile's top-level fields so enabled/coverage/self_overhead are
-      // captured for the profile-smoke gates (zones etc. are just validated).
-      profile->present = true;
-      if (!parser.Consume('{')) {
-        *error = "profile is not an object";
-        return false;
-      }
-      while (true) {
-        std::string profile_key;
-        if (!parser.ParseString(&profile_key) || !parser.Consume(':')) {
-          *error = "malformed profile key: " + parser.error;
-          return false;
-        }
-        parser.SkipWs();
-        bool bool_true = parser.p < parser.end && *parser.p == 't';
-        double num = -1;
-        if (!parser.ParseValue(&num, nullptr)) {
-          *error = "malformed profile value: " + parser.error;
-          return false;
-        }
-        if (profile_key == "enabled") {
-          profile->enabled = bool_true;
-        } else if (profile_key == "coverage") {
-          profile->coverage = num;
-        } else if (profile_key == "self_overhead") {
-          profile->self_overhead = num;
-        }
-        parser.SkipWs();
-        if (parser.p < parser.end && *parser.p == ',') {
-          ++parser.p;
-          continue;
-        }
-        if (!parser.Consume('}')) {
-          *error = "unterminated profile object";
-          return false;
-        }
-        break;
-      }
-    } else if (!parser.ParseValue(nullptr, nullptr)) {
-      *error = "malformed value for \"" + key + "\": " + parser.error;
-      return false;
-    }
-    parser.SkipWs();
-    if (parser.p < parser.end && *parser.p == ',') {
-      ++parser.p;
-      continue;
-    }
-    if (!parser.Consume('}')) {
-      *error = "unterminated top-level object";
-      return false;
-    }
-    break;
-  }
-  parser.SkipWs();
-  if (parser.p != parser.end) {
-    *error = "trailing content after top-level object";
-    return false;
-  }
+  return "";
+}
 
-  for (const char* required : {"meta", "snapshot", "timeseries", "critical_path",
-                               "availability", "profile", "traces"}) {
-    if (seen.find(required) == seen.end()) {
-      *error = std::string("missing top-level section \"") + required + "\"";
+// Reads the profile object's top-level figures, like ReadMeta.
+std::string ReadProfile(JsonReader* r, ArtifactFacts* facts) {
+  std::string key;
+  if (!r->BeginObject()) return "";
+  while (r->NextMember(&key)) {
+    if (key == "enabled") {
+      if (!r->ReadBool(&facts->profile_enabled)) return "profile.enabled is not a bool";
+    } else if (key == "coverage" || key == "self_overhead") {
+      double* figure = key == "coverage" ? &facts->coverage : &facts->self_overhead;
+      if (!r->ReadNumber(figure)) return "profile." + key + " is not a number";
+    } else {
+      r->Skip();
+    }
+  }
+  return "";
+}
+
+bool ValidateArtifact(const std::string& text, ArtifactFacts* facts, std::string* error) {
+  JsonReader r(text);
+  std::string key;
+  if (r.BeginObject()) {
+    while (error->empty() && r.NextMember(&key)) {
+      facts->sections.insert(key);
+      if (key == "meta") {
+        *error = ReadMeta(&r, facts);
+      } else if (key == "profile") {
+        *error = ReadProfile(&r, facts);
+      } else {
+        r.Skip();
+      }
+    }
+  }
+  if (!error->empty()) return false;
+  if (!r.ExpectEnd()) {
+    *error = r.error();
+    return false;
+  }
+  for (const char* section : kArtifactSections) {
+    if (facts->sections.count(section) == 0) {
+      *error = std::string("missing top-level section \"") + section + "\"";
       return false;
     }
   }
-  if (!has_schema_version) {
+  if (!facts->schema_version) {
     *error = "meta.schema_version is missing";
-    return false;
-  }
-  if (schema_version != 2) {
-    *error = "meta.schema_version is not 2";
-    return false;
-  }
-  if (bench_name.empty()) {
+  } else if (facts->schema_version != kArtifactSchemaVersion) {
+    *error = "meta.schema_version is not " + std::to_string(kArtifactSchemaVersion);
+  } else if (facts->bench.empty()) {
     *error = "meta.bench is missing or empty";
-    return false;
-  }
-  if (!has_time_ns) {
+  } else if (!facts->time_ns) {
     *error = "meta.time_ns is missing";
-    return false;
   }
-  return true;
+  return error->empty();
 }
 
 }  // namespace
+}  // namespace sns
 
 int main(int argc, char** argv) {
   double min_coverage = -1;
@@ -426,47 +148,40 @@ int main(int argc, char** argv) {
   }
   int bad = 0;
   for (const char* path : paths) {
-    std::FILE* f = std::fopen(path, "rb");
-    if (f == nullptr) {
+    std::string text;
+    if (!sns::ReadFileToString(path, &text)) {
       std::fprintf(stderr, "%s: MISSING (bench did not emit its artifact)\n", path);
       ++bad;
       continue;
     }
-    std::string text;
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      text.append(buf, n);
-    }
-    std::fclose(f);
     std::string error;
-    ProfileFacts profile;
-    if (!ValidateArtifact(text, &error, &profile)) {
+    sns::ArtifactFacts facts;
+    if (!sns::ValidateArtifact(text, &facts, &error)) {
       std::fprintf(stderr, "%s: INVALID: %s\n", path, error.c_str());
       ++bad;
       continue;
     }
     if (min_coverage >= 0 || max_overhead >= 0) {
-      if (!profile.enabled) {
+      if (!facts.profile_enabled) {
         std::fprintf(stderr, "%s: PROFILE GATE: profiler was not enabled for this run\n",
                      path);
         ++bad;
         continue;
       }
-      if (min_coverage >= 0 && profile.coverage < min_coverage) {
+      if (min_coverage >= 0 && facts.coverage < min_coverage) {
         std::fprintf(stderr, "%s: PROFILE GATE: coverage %.4f < required %.4f\n", path,
-                     profile.coverage, min_coverage);
+                     facts.coverage, min_coverage);
         ++bad;
         continue;
       }
-      if (max_overhead >= 0 && profile.self_overhead > max_overhead) {
+      if (max_overhead >= 0 && facts.self_overhead > max_overhead) {
         std::fprintf(stderr, "%s: PROFILE GATE: self-overhead %.4f > allowed %.4f\n",
-                     path, profile.self_overhead, max_overhead);
+                     path, facts.self_overhead, max_overhead);
         ++bad;
         continue;
       }
       std::printf("%s: profile ok (coverage %.3f, self-overhead %.4f)\n", path,
-                  profile.coverage, profile.self_overhead);
+                  facts.coverage, facts.self_overhead);
     }
     std::printf("%s: ok (%zu bytes)\n", path, text.size());
   }
