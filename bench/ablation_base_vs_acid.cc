@@ -27,7 +27,7 @@ void Run() {
                     "paper Section 3.1.3");
 
   TranSendOptions options = DefaultTranSendOptions();
-  options.universe = benchutil::FixedJpegUniverse(40);
+  options.universe = FixedJpegUniverse(40);
   options.logic.cache_distilled = false;
   options.topology.worker_pool_nodes = 6;
   TranSendService service(options);

@@ -27,7 +27,7 @@ namespace {
 
 TranSendOptions Fig8Options(bool delta_estimation) {
   TranSendOptions options = DefaultTranSendOptions();
-  options.universe = benchutil::FixedJpegUniverse(40);
+  options.universe = FixedJpegUniverse(40);
   options.logic.cache_distilled = false;
   options.topology.worker_pool_nodes = 8;
   options.distiller_cost.jpeg_per_kb = Milliseconds(8);  // Fig. 7's GIF slope.

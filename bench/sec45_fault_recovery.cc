@@ -38,7 +38,7 @@ int Run(bool short_mode) {
                     "paper Section 4.5");
 
   TranSendOptions options = DefaultTranSendOptions();
-  options.universe = benchutil::FixedJpegUniverse(40);
+  options.universe = FixedJpegUniverse(40);
   options.logic.cache_distilled = false;  // Every request needs a live distiller.
   options.topology.worker_pool_nodes = 6;
   TranSendService service(options);

@@ -31,7 +31,7 @@ struct SanResult {
 
 SanResult RunOn(double bandwidth_bps, double rate) {
   TranSendOptions options = DefaultTranSendOptions();
-  options.universe = benchutil::FixedJpegUniverse(40);
+  options.universe = FixedJpegUniverse(40);
   options.logic.cache_distilled = false;
   options.topology.worker_pool_nodes = 6;
   options.topology.san.default_link.bandwidth_bps = bandwidth_bps;

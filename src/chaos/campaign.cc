@@ -8,6 +8,7 @@
 #include "src/cluster/failure_injector.h"
 #include "src/services/transend/transend.h"
 #include "src/util/strings.h"
+#include "src/workload/content_universe.h"
 
 namespace sns {
 namespace {
@@ -16,13 +17,7 @@ TranSendOptions ChaosOptions(const CampaignConfig& config) {
   TranSendOptions options = DefaultTranSendOptions();
   // All-JPEG universe: every request re-distills, keeping the worker pool
   // load-bearing throughout the fault storm (same idiom as the fault tests).
-  options.universe.url_count = config.url_count;
-  options.universe.sizes.gif_fraction = 0.0;
-  options.universe.sizes.html_fraction = 0.0;
-  options.universe.sizes.jpeg_fraction = 1.0;
-  options.universe.sizes.jpeg_mu = 9.2335;
-  options.universe.sizes.jpeg_sigma = 0.05;
-  options.universe.sizes.error_page_fraction = 0.0;
+  options.universe = FixedJpegUniverse(config.url_count);
   options.logic.cache_distilled = false;
   options.topology.worker_pool_nodes = config.worker_pool_nodes;
   options.topology.front_ends = config.front_ends;

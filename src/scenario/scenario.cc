@@ -12,6 +12,7 @@
 #include "src/obs/metrics.h"
 #include "src/services/transend/transend.h"
 #include "src/util/strings.h"
+#include "src/workload/content_universe.h"
 #include "src/workload/trace.h"
 
 namespace sns {
@@ -117,16 +118,10 @@ TranSendOptions CellOptions(const ScenarioCell& cell) {
   // re-distills, keeping the worker pool load-bearing (the chaos-campaign
   // idiom — otherwise the cache absorbs the workload and worker faults are
   // invisible).
-  options.universe.url_count =
+  options.universe = FixedJpegUniverse(
       cell.workload == WorkloadShape::kStream
           ? std::max<int64_t>(StreamUrlSpace(CellStreamConfig(cell)), 1)
-          : kUrlCount;
-  options.universe.sizes.gif_fraction = 0.0;
-  options.universe.sizes.html_fraction = 0.0;
-  options.universe.sizes.jpeg_fraction = 1.0;
-  options.universe.sizes.jpeg_mu = 9.2335;
-  options.universe.sizes.jpeg_sigma = 0.05;
-  options.universe.sizes.error_page_fraction = 0.0;
+          : kUrlCount);
   options.logic.cache_distilled = false;
   options.topology.worker_pool_nodes = cell.cluster.worker_pool_nodes;
   options.topology.front_ends = cell.cluster.front_ends;

@@ -14,6 +14,7 @@ CacheNodeProcess::CacheNodeProcess(const SnsConfig& sns_config, const CacheNodeC
       config_(config),
       cache_(config.capacity_bytes,
              [](const ContentPtr& c) { return c == nullptr ? 0 : c->size(); }),
+      follower_(sns_config.manager_epoch_fencing, {.kind = ComponentKind::kCacheNode}),
       ring_(sns_config.cache_ring_vnodes),
       settled_ring_(sns_config.cache_ring_vnodes),
       rebalance_bucket_(sns_config.cache_rebalance_bytes_per_s,
@@ -65,46 +66,18 @@ void CacheNodeProcess::OnMessage(const Message& msg) {
 }
 
 void CacheNodeProcess::HandleBeacon(const ManagerBeaconPayload& beacon) {
-  if (sns_config_.manager_epoch_fencing && beacon.epoch < manager_epoch_) {
-    return;  // Stale incarnation still beaconing after failover; ignore.
-  }
-  manager_epoch_ = beacon.epoch;
-  if (beacon.manager != manager_) {
-    manager_ = beacon.manager;
-    auto payload = std::make_shared<RegisterComponentPayload>();
-    payload->kind = ComponentKind::kCacheNode;
-    payload->component = endpoint();
-    payload->manager_epoch = manager_epoch_;
-    Message out;
-    out.dst = manager_;
-    out.type = kMsgRegisterComponent;
-    out.transport = Transport::kReliable;
-    out.size_bytes = 96;
-    out.payload = payload;
-    Send(std::move(out));
-  }
-
-  // Mirror the beaconed cache membership onto the local ring (same member
-  // encoding as the manager stub, so every party derives identical chains).
-  std::vector<Endpoint> fresh = beacon.cache_nodes;
-  std::sort(fresh.begin(), fresh.end(), [](const Endpoint& a, const Endpoint& b) {
-    return a.node != b.node ? a.node < b.node : a.port < b.port;
-  });
-  if (fresh == ring_members_) {
+  ManagerFollower::Verdict verdict = follower_.Follow(beacon);
+  if (verdict == ManagerFollower::Verdict::kStale) {
     return;
   }
-  for (const Endpoint& ep : ring_members_) {
-    if (std::find(fresh.begin(), fresh.end(), ep) == fresh.end()) {
-      ring_.RemoveMember(CacheRingMemberId(ep));
+  if (verdict == ManagerFollower::Verdict::kNew) {
+    if (auto msg = follower_.Registration(endpoint())) {
+      Send(std::move(*msg));
     }
   }
-  for (const Endpoint& ep : fresh) {
-    if (!ring_.HasMember(CacheRingMemberId(ep))) {
-      ring_.AddMember(CacheRingMemberId(ep));
-    }
+  if (SyncCacheRing(beacon.cache_nodes, &ring_members_, &ring_) > 0) {
+    StartRebalance();
   }
-  ring_members_ = std::move(fresh);
-  StartRebalance();
 }
 
 size_t CacheNodeProcess::ReplicaFactor() const {
@@ -379,22 +352,10 @@ void CacheNodeProcess::RefreshGauges() {
 }
 
 void CacheNodeProcess::ReportLoad() {
-  if (!manager_.valid()) {
-    return;
+  if (auto msg = follower_.LoadReport(endpoint(), static_cast<double>(outstanding_), 0)) {
+    RefreshGauges();
+    Send(std::move(*msg));
   }
-  auto payload = std::make_shared<LoadReportPayload>();
-  payload->kind = ComponentKind::kCacheNode;
-  payload->component = endpoint();
-  payload->queue_length = static_cast<double>(outstanding_);
-  payload->manager_epoch = manager_epoch_;
-  RefreshGauges();
-  Message msg;
-  msg.dst = manager_;
-  msg.type = kMsgLoadReport;
-  msg.transport = Transport::kDatagram;
-  msg.size_bytes = 80;
-  msg.payload = payload;
-  Send(std::move(msg));
 }
 
 }  // namespace sns

@@ -29,6 +29,7 @@
 #include "src/obs/metrics.h"
 #include "src/sim/timer.h"
 #include "src/sns/config.h"
+#include "src/sns/manager_follower.h"
 #include "src/sns/messages.h"
 #include "src/store/consistent_hash.h"
 #include "src/store/lru_cache.h"
@@ -55,6 +56,7 @@ class CacheNodeProcess : public Process {
   void OnStop() override;
   void OnMessage(const Message& msg) override;
 
+  const ManagerFollower& follower() const { return follower_; }
   int64_t hits() const { return cache_.hits(); }
   int64_t misses() const { return cache_.misses(); }
   int64_t evictions() const { return cache_.evictions(); }
@@ -103,12 +105,11 @@ class CacheNodeProcess : public Process {
   SnsConfig sns_config_;
   CacheNodeConfig config_;
   LruCache<std::string, ContentPtr> cache_;
-  Endpoint manager_;
-  uint64_t manager_epoch_ = 0;  // Highest beacon epoch accepted (fencing).
+  ManagerFollower follower_;
   int64_t outstanding_ = 0;
 
-  // This node's mirror of the cache ring, fed from beaconed membership with the
-  // same member encoding the manager stub uses, so both derive identical chains.
+  // This node's mirror of the cache ring (SyncCacheRing, shared with the manager
+  // stub so both derive identical chains).
   ConsistentHashRing ring_;
   // Membership as of the last *completed* rebalance pass: the next pass pushes
   // only along chain deltas between this and the current ring, so a single-node

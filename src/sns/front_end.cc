@@ -67,7 +67,7 @@ FrontEndProcess::FrontEndProcess(const SnsConfig& config, const FrontEndOptions&
       logic_(std::move(logic)),
       launcher_(launcher),
       rng_(options.seed ^ (0x9E3779B9ULL * static_cast<uint64_t>(options.fe_index + 1))),
-      stub_(config, &rng_),
+      stub_(config, &rng_, options.fe_index),
       profile_cache_(config.fe_profile_cache_bytes,
                      [](const UserProfile& p) { return p.WireSize(); }) {}
 
@@ -137,56 +137,24 @@ void FrontEndProcess::OnMessage(const Message& msg) {
 }
 
 void FrontEndProcess::HandleBeacon(const ManagerBeaconPayload& beacon) {
-  bool new_manager = beacon.manager != stub_.manager();
-  if (!stub_.OnBeacon(beacon, sim()->now())) {
-    return;  // Fenced: a stale incarnation still beaconing after failover.
-  }
   uint64_t ring_changes = stub_.cache_membership_changes();
-  if (ring_changes > ring_changes_seen_) {
-    ring_remaps_->Increment(static_cast<int64_t>(ring_changes - ring_changes_seen_));
-    ring_changes_seen_ = ring_changes;
-  }
-  if (new_manager) {
-    RegisterWithManager();
-  }
-}
-
-void FrontEndProcess::RegisterWithManager() {
-  if (!stub_.ManagerKnown()) {
+  ManagerFollower::Verdict verdict = stub_.OnBeacon(beacon, sim()->now());
+  if (verdict == ManagerFollower::Verdict::kStale) {
     return;
   }
-  auto payload = std::make_shared<RegisterComponentPayload>();
-  payload->kind = ComponentKind::kFrontEnd;
-  payload->component = endpoint();
-  payload->fe_index = options_.fe_index;
-  payload->manager_epoch = stub_.manager_epoch();
-  Message msg;
-  msg.dst = stub_.manager();
-  msg.type = kMsgRegisterComponent;
-  msg.transport = Transport::kReliable;
-  msg.size_bytes = 96;
-  msg.payload = payload;
-  Send(std::move(msg));
+  ring_remaps_->Increment(
+      static_cast<int64_t>(stub_.cache_membership_changes() - ring_changes));
+  if (verdict == ManagerFollower::Verdict::kNew) {
+    if (auto msg = stub_.follower().Registration(endpoint())) {
+      Send(std::move(*msg));
+    }
+  }
 }
 
 void FrontEndProcess::Heartbeat() {
-  if (!stub_.ManagerKnown()) {
-    return;
+  if (auto msg = stub_.follower().LoadReport(endpoint(), active_, completed_requests())) {
+    Send(std::move(*msg));
   }
-  auto payload = std::make_shared<LoadReportPayload>();
-  payload->kind = ComponentKind::kFrontEnd;
-  payload->component = endpoint();
-  payload->queue_length = active_;
-  payload->completed_tasks = completed_requests();
-  payload->fe_index = options_.fe_index;
-  payload->manager_epoch = stub_.manager_epoch();
-  Message msg;
-  msg.dst = stub_.manager();
-  msg.type = kMsgLoadReport;
-  msg.transport = Transport::kDatagram;
-  msg.size_bytes = 80;
-  msg.payload = payload;
-  Send(std::move(msg));
 }
 
 void FrontEndProcess::Watchdog() {

@@ -321,7 +321,6 @@ class FrontEndProcess : public Process {
   std::optional<Endpoint> CacheNodeForKey(const std::string& key);
 
   // --- Housekeeping -----------------------------------------------------------------
-  void RegisterWithManager();
   void Heartbeat();
   void Watchdog();
 
@@ -348,9 +347,6 @@ class FrontEndProcess : public Process {
   std::unique_ptr<PeriodicTimer> heartbeat_timer_;
   std::unique_ptr<PeriodicTimer> watchdog_timer_;
   std::unique_ptr<PeriodicTimer> queue_sweep_timer_;
-
-  // Ring membership changes already exported to ring_remaps_ (per incarnation).
-  uint64_t ring_changes_seen_ = 0;
 
   // Registry instruments under "fe.<index>.*", bound in OnStart.
   Counter* completed_ = nullptr;

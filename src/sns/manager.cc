@@ -87,15 +87,8 @@ bool ManagerProcess::FenceAgainst(uint64_t observed_epoch, const char* evidence)
                                << " via " << evidence << "; demoting (self-crash)";
   beacon_timer_.reset();  // Go silent immediately; no farewell beacon.
   // Crash destroys this process object, so it must not run inside the current
-  // message dispatch. Capture cluster + pid by value; Crash is a no-op if
-  // something else killed the process first.
-  Cluster* owner = cluster();
-  ProcessId me = pid();
-  sim()->Schedule(0, [owner, me] {
-    if (owner->Find(me) != nullptr) {
-      owner->Crash(me);
-    }
-  });
+  // message dispatch (After skips it if something else killed the process first).
+  After(0, [owner = cluster(), me = pid()] { owner->Crash(me); });
   return true;
 }
 
@@ -111,25 +104,30 @@ void ManagerProcess::HandleRegister(const RegisterComponentPayload& p) {
     return;  // The component already follows a newer incarnation.
   }
   SimTime now = sim()->now();
-  switch (p.kind) {
-    case ComponentKind::kWorker: {
-      UpsertWorker(p.component, p.worker_type, p.interchangeable, now);
-      SNS_LOG(kDebug, "manager") << "registered worker " << p.worker_type << " at "
-                                 << p.component.ToString();
-      break;
-    }
+  if (p.kind != ComponentKind::kWorker) {
+    RefreshPeer(p.kind, p.component, p.fe_index, p.component_generation, now);
+    return;
+  }
+  UpsertWorker(p.component, p.worker_type, p.interchangeable, now);
+  SNS_LOG(kDebug, "manager") << "registered worker " << p.worker_type << " at "
+                             << p.component.ToString();
+}
+
+void ManagerProcess::RefreshPeer(ComponentKind kind, const Endpoint& component, int fe_index,
+                                 uint64_t generation, SimTime now) {
+  switch (kind) {
     case ComponentKind::kCacheNode:
-      cache_nodes_.Refresh(p.component, true, now);
+      cache_nodes_.Refresh(component, true, now);
       break;
     case ComponentKind::kFrontEnd:
-      front_ends_.Refresh(p.component, FrontEndState{p.fe_index}, now);
+      front_ends_.Refresh(component, FrontEndState{fe_index}, now);
       break;
     case ComponentKind::kProfileDb:
       // Keep only the newest incarnation: a fenced-off stale DB re-registering
       // after a heal must not displace the successor from the beacon.
-      if (p.component_generation >= profile_db_generation_) {
-        profile_db_generation_ = p.component_generation;
-        profile_db_ = p.component;
+      if (generation >= profile_db_generation_) {
+        profile_db_generation_ = generation;
+        profile_db_ = component;
         profile_db_last_seen_ = now;
       }
       break;
@@ -161,56 +159,36 @@ void ManagerProcess::HandleLoadReport(const LoadReportPayload& p) {
   // what bounds the manager's ultimate capacity.
   RunOnCpu(config_.manager_cpu_per_report, [] {});
   SimTime now = sim()->now();
-  switch (p.kind) {
-    case ComponentKind::kWorker: {
-      if (p.queue_length < 0) {
-        // A stub observed this worker dead (broken connection); drop it now rather
-        // than waiting for TTL expiry. The death is a capacity deficit at the
-        // demand that sized the pool, so restart a replacement immediately (peer
-        // fault tolerance, §3.1.3) instead of waiting out the load path's full
-        // cooldown. Several workers dying at once can land inside the 1 s respawn
-        // guard; retry each blocked replacement once after the guard expires.
-        RemoveWorker(p.component);
-        if (!TrySpawn(p.worker_type, /*bypass_cooldown=*/true)) {
-          std::string type = p.worker_type;
-          After(Milliseconds(1100), [this, type] {
-            TrySpawn(type, /*bypass_cooldown=*/true);
-          });
-        }
-        return;
-      }
-      WorkerState* state = workers_.GetMutable(p.component, now);
-      if (state == nullptr) {
-        // Unknown sender: treat the report as an implicit (re-)registration — this
-        // is how workers rejoin a restarted manager without explicit recovery code.
-        state = UpsertWorker(p.component, p.worker_type, p.interchangeable, now);
-      } else {
-        workers_.Touch(p.component, now);
-      }
-      state->smoothed_queue.Add(p.queue_length);
-      state->last_reported_queue = p.queue_length;
-      break;
-    }
-    case ComponentKind::kCacheNode:
-      if (!cache_nodes_.Touch(p.component, now)) {
-        cache_nodes_.Refresh(p.component, true, now);
-      }
-      break;
-    case ComponentKind::kFrontEnd:
-      if (!front_ends_.Touch(p.component, now)) {
-        front_ends_.Refresh(p.component, FrontEndState{p.fe_index}, now);
-      }
-      break;
-    case ComponentKind::kProfileDb:
-      if (p.component_generation >= profile_db_generation_) {
-        profile_db_generation_ = p.component_generation;
-        profile_db_ = p.component;
-        profile_db_last_seen_ = now;
-      }
-      break;
-    default:
-      break;
+  if (p.kind != ComponentKind::kWorker) {
+    RefreshPeer(p.kind, p.component, p.fe_index, p.component_generation, now);
+    return;
   }
+  if (p.queue_length < 0) {
+    // A stub observed this worker dead (broken connection); drop it now rather
+    // than waiting for TTL expiry. The death is a capacity deficit at the
+    // demand that sized the pool, so restart a replacement immediately (peer
+    // fault tolerance, §3.1.3) instead of waiting out the load path's full
+    // cooldown. Several workers dying at once can land inside the 1 s respawn
+    // guard; retry each blocked replacement once after the guard expires.
+    RemoveWorker(p.component);
+    if (!TrySpawn(p.worker_type, /*bypass_cooldown=*/true)) {
+      std::string type = p.worker_type;
+      After(Milliseconds(1100), [this, type] {
+        TrySpawn(type, /*bypass_cooldown=*/true);
+      });
+    }
+    return;
+  }
+  WorkerState* state = workers_.GetMutable(p.component, now);
+  if (state == nullptr) {
+    // Unknown sender: treat the report as an implicit (re-)registration — this
+    // is how workers rejoin a restarted manager without explicit recovery code.
+    state = UpsertWorker(p.component, p.worker_type, p.interchangeable, now);
+  } else {
+    workers_.Touch(p.component, now);
+  }
+  state->smoothed_queue.Add(p.queue_length);
+  state->last_reported_queue = p.queue_length;
 }
 
 bool ManagerProcess::HandleSpawnRequest(const SpawnRequestPayload& p) {

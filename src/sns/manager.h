@@ -95,6 +95,11 @@ class ManagerProcess : public Process {
 
   void HandleRegister(const RegisterComponentPayload& p);
   void HandleLoadReport(const LoadReportPayload& p);
+  // Soft-state refresh of a cache node, front end or profile DB. Registration and
+  // load report carry the same facts for these kinds (ports are never reused, so an
+  // endpoint's fe_index never changes), so both handlers call it.
+  void RefreshPeer(ComponentKind kind, const Endpoint& component, int fe_index,
+                   uint64_t generation, SimTime now);
   // A beacon from another manager incarnation arrived (the manager subscribes to
   // its own beacon group exactly to notice rivals). Higher epoch => demote.
   void HandleRivalBeacon(const ManagerBeaconPayload& beacon);

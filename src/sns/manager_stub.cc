@@ -6,22 +6,18 @@
 
 namespace sns {
 
-bool ManagerStub::OnBeacon(const ManagerBeaconPayload& beacon, SimTime now) {
-  if (config_.manager_epoch_fencing && beacon.epoch < manager_epoch_) {
-    // Stale incarnation (lower epoch than one we already follow): after a
-    // partition heals, the stranded manager may beacon a few more times before it
-    // demotes; acting on those would flap the whole worker/cache view back.
-    ++fenced_beacons_;
-    return false;
+ManagerFollower::Verdict ManagerStub::OnBeacon(const ManagerBeaconPayload& beacon,
+                                               SimTime now) {
+  ManagerFollower::Verdict verdict = follower_.Follow(beacon);
+  if (verdict == ManagerFollower::Verdict::kStale) {
+    return verdict;
   }
-  if (beacon.manager != manager_) {
+  if (verdict == ManagerFollower::Verdict::kNew) {
     // New manager incarnation: its hints are authoritative; drop any view carried
     // over from the previous incarnation rather than letting it age through the
     // grace window.
     workers_.clear();
   }
-  manager_ = beacon.manager;
-  manager_epoch_ = beacon.epoch;
   last_beacon_ = now;
   ++beacons_seen_;
 
@@ -53,29 +49,13 @@ bool ManagerStub::OnBeacon(const ManagerBeaconPayload& beacon, SimTime now) {
   workers_ = std::move(next);
 
   // Maintain the cache ring incrementally so surviving nodes keep their keys.
-  std::vector<Endpoint> fresh = beacon.cache_nodes;
-  std::sort(fresh.begin(), fresh.end(), [](const Endpoint& a, const Endpoint& b) {
-    return a.node != b.node ? a.node < b.node : a.port < b.port;
-  });
-  for (const Endpoint& ep : cache_nodes_) {
-    if (std::find(fresh.begin(), fresh.end(), ep) == fresh.end()) {
-      cache_ring_.RemoveMember(CacheRingMemberId(ep));
-      ++cache_membership_changes_;
-    }
-  }
-  for (const Endpoint& ep : fresh) {
-    if (!cache_ring_.HasMember(CacheRingMemberId(ep))) {
-      cache_ring_.AddMember(CacheRingMemberId(ep));
-      ++cache_membership_changes_;
-    }
-  }
-  cache_nodes_ = std::move(fresh);
+  cache_membership_changes_ += SyncCacheRing(beacon.cache_nodes, &cache_nodes_, &cache_ring_);
   profile_db_ = beacon.profile_db;
   profile_db_generation_ = beacon.profile_db_generation;
   quorate_ = beacon.quorate;
   votes_held_ = beacon.votes_held;
   votes_total_ = beacon.votes_total;
-  return true;
+  return verdict;
 }
 
 std::optional<Endpoint> ManagerStub::CacheNodeForKey(const std::string& key) const {

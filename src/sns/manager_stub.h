@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "src/sns/config.h"
+#include "src/sns/manager_follower.h"
 #include "src/sns/messages.h"
 #include "src/store/consistent_hash.h"
 #include "src/util/rng.h"
@@ -41,15 +42,17 @@ namespace sns {
 
 class ManagerStub {
  public:
-  ManagerStub(const SnsConfig& config, Rng* rng)
-      : config_(config), rng_(rng), cache_ring_(config.cache_ring_vnodes) {}
+  // `fe_index` identifies the owning front end to the manager.
+  ManagerStub(const SnsConfig& config, Rng* rng, int fe_index = -1)
+      : config_(config),
+        rng_(rng),
+        follower_(config.manager_epoch_fencing, {.kind = ComponentKind::kFrontEnd, .fe_index = fe_index}),
+        cache_ring_(config.cache_ring_vnodes) {}
 
-  // Feed a received beacon into the cache. Returns false when the beacon was
-  // fenced: it carries a lower epoch than the highest this stub has accepted,
-  // meaning it came from a stale manager incarnation (e.g. one stranded by a
-  // partition that has since been failed over). Fenced beacons change nothing —
-  // callers must not re-register or otherwise act on them.
-  bool OnBeacon(const ManagerBeaconPayload& beacon, SimTime now);
+  // Feed a received beacon into the cache. A kStale verdict (a fenced beacon from
+  // a superseded manager incarnation) changes nothing; on kNew the caller
+  // re-registers with the new manager.
+  ManagerFollower::Verdict OnBeacon(const ManagerBeaconPayload& beacon, SimTime now);
 
   // Lottery-schedules a worker of `type`; nullopt if none is known alive. When
   // `exclude` is given (the worker a retry just failed on), it is picked only if
@@ -65,12 +68,12 @@ class ManagerStub {
   // cache immediately. Returns true if it was present.
   bool NoteWorkerDead(const Endpoint& worker);
 
-  bool ManagerKnown() const { return manager_.valid(); }
-  const Endpoint& manager() const { return manager_; }
-  // Highest beacon epoch accepted so far (stamped onto registrations so a stale
-  // manager hearing them learns it has been superseded).
-  uint64_t manager_epoch() const { return manager_epoch_; }
-  uint64_t fenced_beacons() const { return fenced_beacons_; }
+  // The front end's follow rule and register/report sender.
+  const ManagerFollower& follower() const { return follower_; }
+  bool ManagerKnown() const { return follower_.known(); }
+  const Endpoint& manager() const { return follower_.manager(); }
+  uint64_t manager_epoch() const { return follower_.epoch(); }
+  uint64_t fenced_beacons() const { return follower_.fenced_beacons(); }
   // Time since the last beacon; kTimeNever if none ever received.
   SimDuration BeaconSilence(SimTime now) const;
   bool ManagerSuspectedDead(SimTime now) const;
@@ -119,11 +122,9 @@ class ManagerStub {
   SnsConfig config_;
   Rng* rng_;
   size_t round_robin_ = 0;
-  Endpoint manager_;
-  uint64_t manager_epoch_ = 0;
+  ManagerFollower follower_;
   SimTime last_beacon_ = -1;
   uint64_t beacons_seen_ = 0;
-  uint64_t fenced_beacons_ = 0;
   std::unordered_map<Endpoint, WorkerView, EndpointHash> workers_;
   std::vector<Endpoint> cache_nodes_;
   ConsistentHashRing cache_ring_;

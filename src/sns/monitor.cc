@@ -10,7 +10,8 @@ MonitorProcess::MonitorProcess(const SnsConfig& config, ComponentLauncher* launc
     : Process("monitor"),
       config_(config),
       components_(config.monitor_component_ttl),
-      launcher_(launcher) {}
+      launcher_(launcher),
+      follower_(config.manager_epoch_fencing, {.kind = ComponentKind::kMonitor}) {}
 
 void MonitorProcess::OnStart() {
   beacons_observed_ = metrics()->GetCounter("monitor.beacons_observed");
@@ -35,11 +36,10 @@ void MonitorProcess::OnMessage(const Message& msg) {
   switch (msg.type) {
     case kMsgManagerBeacon: {
       const auto& beacon = static_cast<const ManagerBeaconPayload&>(*msg.payload);
-      if (config_.manager_epoch_fencing && beacon.epoch < manager_epoch_) {
+      if (follower_.Follow(beacon) == ManagerFollower::Verdict::kStale) {
         stale_beacons_fenced_->Increment();
         break;  // A superseded incarnation must not refresh liveness or views.
       }
-      manager_epoch_ = beacon.epoch;
       beacons_observed_->Increment();
       last_beacon_at_ = now;
       ComponentView manager_view;

@@ -25,6 +25,7 @@
 #include "src/sim/timer.h"
 #include "src/sns/config.h"
 #include "src/sns/launcher.h"
+#include "src/sns/manager_follower.h"
 #include "src/sns/messages.h"
 #include "src/store/soft_state.h"
 
@@ -53,6 +54,7 @@ class MonitorProcess : public Process {
     alarm_handler_ = std::move(handler);
   }
 
+  const ManagerFollower& follower() const { return follower_; }
   const std::vector<MonitorAlarm>& alarms() const { return alarms_; }
   size_t LiveComponentCount() const;
   int64_t beacons_observed() const { return CounterOr0(beacons_observed_); }
@@ -87,7 +89,7 @@ class MonitorProcess : public Process {
   std::vector<MonitorAlarm> alarms_;
   ComponentLauncher* launcher_;
   SimTime last_beacon_at_ = -1;
-  uint64_t manager_epoch_ = 0;  // Highest beacon epoch accepted (fencing).
+  ManagerFollower follower_;
   std::unique_ptr<PeriodicTimer> sweep_timer_;
   // Registry instruments under "monitor.*", bound in OnStart.
   Counter* beacons_observed_ = nullptr;

@@ -4,8 +4,13 @@
 
 namespace sns {
 
-ProfileDbProcess::ProfileDbProcess(const ProfileDbConfig& config, KvStore* store)
-    : Process("profile-db"), config_(config), store_(store) {}
+ProfileDbProcess::ProfileDbProcess(const SnsConfig& sns_config, const ProfileDbConfig& config,
+                                   KvStore* store)
+    : Process("profile-db"),
+      config_(config),
+      store_(store),
+      follower_(sns_config.manager_epoch_fencing,
+                {.kind = ComponentKind::kProfileDb, .generation = config.generation}) {}
 
 void ProfileDbProcess::OnStart() {
   writes_nonquorate_ = metrics()->GetCounter("profiledb.writes_nonquorate");
@@ -35,21 +40,10 @@ void ProfileDbProcess::OnStop() {
 }
 
 void ProfileDbProcess::Heartbeat() {
-  if (!manager_.valid() || superseded_) {
-    return;
+  // Supersede stops this timer, so a superseded incarnation never reports.
+  if (auto msg = follower_.LoadReport(endpoint(), 0, 0)) {
+    Send(std::move(*msg));
   }
-  auto payload = std::make_shared<LoadReportPayload>();
-  payload->kind = ComponentKind::kProfileDb;
-  payload->component = endpoint();
-  payload->manager_epoch = manager_epoch_seen_;
-  payload->component_generation = config_.generation;
-  Message msg;
-  msg.dst = manager_;
-  msg.type = kMsgLoadReport;
-  msg.transport = Transport::kDatagram;
-  msg.size_bytes = 80;
-  msg.payload = payload;
-  Send(std::move(msg));
 }
 
 void ProfileDbProcess::Supersede(const char* evidence) {
@@ -62,13 +56,7 @@ void ProfileDbProcess::Supersede(const char* evidence) {
                                   << " superseded via " << evidence << "; self-demoting";
   heartbeat_timer_.reset();
   // Crash destroys this process object; defer it out of the current dispatch.
-  Cluster* owner = cluster();
-  ProcessId me = pid();
-  sim()->Schedule(0, [owner, me] {
-    if (owner->Find(me) != nullptr) {
-      owner->Crash(me);
-    }
-  });
+  After(0, [owner = cluster(), me = pid()] { owner->Crash(me); });
 }
 
 void ProfileDbProcess::OnMessage(const Message& msg) {
@@ -78,28 +66,18 @@ void ProfileDbProcess::OnMessage(const Message& msg) {
   switch (msg.type) {
     case kMsgManagerBeacon: {
       const auto& beacon = static_cast<const ManagerBeaconPayload&>(*msg.payload);
-      if (beacon.epoch < manager_epoch_seen_) {
-        break;  // Stale manager incarnation; ignore (same fencing as the stubs).
+      ManagerFollower::Verdict verdict = follower_.Follow(beacon);
+      if (verdict == ManagerFollower::Verdict::kStale) {
+        break;
       }
-      manager_epoch_seen_ = beacon.epoch;
       if (config_.generation > 0 && beacon.profile_db_generation > config_.generation) {
         Supersede("beacon generation");
         break;
       }
-      if (beacon.manager != manager_) {
-        manager_ = beacon.manager;
-        auto payload = std::make_shared<RegisterComponentPayload>();
-        payload->kind = ComponentKind::kProfileDb;
-        payload->component = endpoint();
-        payload->manager_epoch = manager_epoch_seen_;
-        payload->component_generation = config_.generation;
-        Message out;
-        out.dst = manager_;
-        out.type = kMsgRegisterComponent;
-        out.transport = Transport::kReliable;
-        out.size_bytes = 96;
-        out.payload = payload;
-        Send(std::move(out));
+      if (verdict == ManagerFollower::Verdict::kNew) {
+        if (auto out = follower_.Registration(endpoint())) {
+          Send(std::move(*out));
+        }
       }
       break;
     }

@@ -14,6 +14,7 @@
 #include "src/quorum/membership.h"
 #include "src/sim/timer.h"
 #include "src/sns/config.h"
+#include "src/sns/manager_follower.h"
 #include "src/sns/messages.h"
 #include "src/store/kvstore.h"
 #include "src/tacc/profile.h"
@@ -43,12 +44,13 @@ class ProfileDbProcess : public Process {
  public:
   // The KvStore outlives the process (it is the "disk"): on a crash+respawn the new
   // incarnation recovers from the same store's WAL.
-  ProfileDbProcess(const ProfileDbConfig& config, KvStore* store);
+  ProfileDbProcess(const SnsConfig& sns_config, const ProfileDbConfig& config, KvStore* store);
 
   void OnStart() override;
   void OnStop() override;
   void OnMessage(const Message& msg) override;
 
+  const ManagerFollower& follower() const { return follower_; }
   int64_t reads() const { return reads_; }
   int64_t writes() const { return writes_; }
   int64_t writes_rejected() const { return writes_rejected_; }
@@ -64,8 +66,7 @@ class ProfileDbProcess : public Process {
 
   ProfileDbConfig config_;
   KvStore* store_;
-  Endpoint manager_;
-  uint64_t manager_epoch_seen_ = 0;
+  ManagerFollower follower_;
   bool superseded_ = false;
   std::unique_ptr<PeriodicTimer> heartbeat_timer_;
   int64_t reads_ = 0;

@@ -297,7 +297,7 @@ ProcessId SnsSystem::RelaunchProfileDb(NodeId requester) {
   db_config.quorum_write_gate = config_.quorum_membership;
   db_config.reservation = &profile_reservation_;
   profile_db_pid_ = cluster_.Spawn(
-      node, std::make_unique<ProfileDbProcess>(db_config, &profile_store_));
+      node, std::make_unique<ProfileDbProcess>(config_, db_config, &profile_store_));
   return profile_db_pid_;
 }
 

@@ -10,7 +10,11 @@ WorkerProcess::WorkerProcess(const SnsConfig& config, TaccWorkerPtr worker)
     : Process("worker:" + worker->type()),
       config_(config),
       worker_(std::move(worker)),
-      type_(worker_->type()) {}
+      type_(worker_->type()),
+      follower_(config_.manager_epoch_fencing,
+                {.kind = ComponentKind::kWorker,
+                 .worker_type = type_,
+                 .interchangeable = worker_->interchangeable()}) {}
 
 void WorkerProcess::OnStart() {
   std::string prefix = StrFormat("worker.%s.p%lld.", type_.c_str(), static_cast<long long>(pid()));
@@ -48,34 +52,11 @@ void WorkerProcess::OnMessage(const Message& msg) {
 }
 
 void WorkerProcess::HandleBeacon(const ManagerBeaconPayload& beacon) {
-  if (config_.manager_epoch_fencing && beacon.epoch < manager_epoch_) {
-    return;  // Stale incarnation still beaconing after failover; ignore.
+  if (follower_.Follow(beacon) == ManagerFollower::Verdict::kNew) {
+    if (auto msg = follower_.Registration(endpoint())) {
+      Send(std::move(*msg));
+    }
   }
-  if (beacon.manager != manager_) {
-    // New manager incarnation (first sighting, or restart after a crash):
-    // re-register. No other recovery is needed — all our state is re-derivable.
-    manager_ = beacon.manager;
-    manager_epoch_ = beacon.epoch;
-    RegisterWithManager();
-    return;
-  }
-  manager_epoch_ = beacon.epoch;
-}
-
-void WorkerProcess::RegisterWithManager() {
-  auto payload = std::make_shared<RegisterComponentPayload>();
-  payload->kind = ComponentKind::kWorker;
-  payload->worker_type = type_;
-  payload->component = endpoint();
-  payload->interchangeable = worker_->interchangeable();
-  payload->manager_epoch = manager_epoch_;
-  Message msg;
-  msg.dst = manager_;
-  msg.type = kMsgRegisterComponent;
-  msg.transport = Transport::kReliable;
-  msg.size_bytes = 96 + static_cast<int64_t>(type_.size());
-  msg.payload = payload;
-  Send(std::move(msg));
 }
 
 double WorkerProcess::WeightedQueueLength() const {
@@ -221,26 +202,11 @@ void WorkerProcess::StartNext() {
 }
 
 void WorkerProcess::ReportLoad() {
-  if (!manager_.valid()) {
-    return;
+  double queue_length = config_.weight_queue_by_cost ? WeightedQueueLength() : QueueLength();
+  if (auto msg = follower_.LoadReport(endpoint(), queue_length, completed_tasks())) {
+    queue_gauge_->Set(queue_length);
+    Send(std::move(*msg));
   }
-  auto payload = std::make_shared<LoadReportPayload>();
-  payload->kind = ComponentKind::kWorker;
-  payload->worker_type = type_;
-  payload->component = endpoint();
-  payload->queue_length =
-      config_.weight_queue_by_cost ? WeightedQueueLength() : QueueLength();
-  payload->completed_tasks = completed_tasks();
-  payload->interchangeable = worker_->interchangeable();
-  payload->manager_epoch = manager_epoch_;
-  queue_gauge_->Set(payload->queue_length);
-  Message msg;
-  msg.dst = manager_;
-  msg.type = kMsgLoadReport;
-  msg.transport = Transport::kDatagram;  // Best effort; loss tolerated (soft state).
-  msg.size_bytes = 80 + static_cast<int64_t>(type_.size());
-  msg.payload = payload;
-  Send(std::move(msg));
 }
 
 }  // namespace sns

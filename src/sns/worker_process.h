@@ -22,6 +22,7 @@
 #include "src/obs/metrics.h"
 #include "src/sim/timer.h"
 #include "src/sns/config.h"
+#include "src/sns/manager_follower.h"
 #include "src/sns/messages.h"
 #include "src/tacc/worker.h"
 
@@ -37,6 +38,7 @@ class WorkerProcess : public Process {
 
   // --- Introspection (used by the Fig. 8 queue-length sampler and tests) -----------
   const std::string& worker_type() const { return type_; }
+  const ManagerFollower& follower() const { return follower_; }
   // Instantaneous queue length including the in-service task — the paper's load
   // metric (footnote 2).
   double QueueLength() const { return static_cast<double>(queue_.size()) + (busy_ ? 1 : 0); }
@@ -58,7 +60,6 @@ class WorkerProcess : public Process {
                   const std::string& reason);
   void StartNext();
   void ReportLoad();
-  void RegisterWithManager();
 
   SnsConfig config_;
   TaccWorkerPtr worker_;
@@ -71,8 +72,7 @@ class WorkerProcess : public Process {
     SimTime enqueued_at = 0;   // Span start: queueing time is part of worker latency.
   };
 
-  Endpoint manager_;
-  uint64_t manager_epoch_ = 0;  // Highest beacon epoch accepted (fencing).
+  ManagerFollower follower_;
   std::deque<QueuedTask> queue_;
   SimDuration queued_cost_ = 0;    // Sum over queue_ + the in-service task.
   bool busy_ = false;

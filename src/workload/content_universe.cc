@@ -47,6 +47,18 @@ bool IsRealImage(MimeType mime, const std::vector<uint8_t>& bytes) {
   return false;
 }
 
+ContentUniverseConfig FixedJpegUniverse(int64_t url_count) {
+  ContentUniverseConfig config;
+  config.url_count = url_count;
+  config.sizes.gif_fraction = 0.0;
+  config.sizes.html_fraction = 0.0;
+  config.sizes.jpeg_fraction = 1.0;
+  config.sizes.jpeg_mu = 9.2335;  // exp(mu + s^2/2) ~ 10240 B
+  config.sizes.jpeg_sigma = 0.05;
+  config.sizes.error_page_fraction = 0.0;
+  return config;
+}
+
 ContentUniverse::ContentUniverse(const ContentUniverseConfig& config)
     : config_(config), size_model_(config.sizes) {}
 

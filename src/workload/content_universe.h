@@ -40,6 +40,14 @@ struct ContentUniverseConfig {
   double zipf_skew = 0.8;  // URL popularity for SamplePopularUrl.
 };
 
+// A universe of nearly-uniform ~10 KB JPEGs, as prepared for the scalability
+// experiment: "a trace file that repeatedly requested a fixed number of JPEG
+// images, all approximately 10KB in size" (§4.6). Every URL is above the distill
+// threshold, so with distilled-variant caching off each request re-distills and
+// the worker pool stays load-bearing (the fault tests, chaos campaign and
+// scenario matrix rely on that).
+ContentUniverseConfig FixedJpegUniverse(int64_t url_count);
+
 class ContentUniverse {
  public:
   explicit ContentUniverse(const ContentUniverseConfig& config);

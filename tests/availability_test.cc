@@ -24,13 +24,7 @@ namespace {
 // that completes normally pays the distiller and comes back kDistilled.
 TranSendOptions DistillHeavyOptions() {
   TranSendOptions options = DefaultTranSendOptions();
-  options.universe.url_count = 20;
-  options.universe.sizes.gif_fraction = 0.0;
-  options.universe.sizes.html_fraction = 0.0;
-  options.universe.sizes.jpeg_fraction = 1.0;
-  options.universe.sizes.jpeg_mu = 9.2335;
-  options.universe.sizes.jpeg_sigma = 0.05;
-  options.universe.sizes.error_page_fraction = 0.0;
+  options.universe = FixedJpegUniverse(20);
   options.logic.cache_distilled = false;
   options.topology.worker_pool_nodes = 2;
   options.topology.front_ends = 1;

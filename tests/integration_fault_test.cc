@@ -13,17 +13,7 @@ namespace {
 
 TranSendOptions FaultOptions() {
   TranSendOptions options = DefaultTranSendOptions();
-  options.universe = [] {
-    ContentUniverseConfig config;
-    config.url_count = 60;
-    config.sizes.gif_fraction = 0.0;
-    config.sizes.html_fraction = 0.0;
-    config.sizes.jpeg_fraction = 1.0;
-    config.sizes.jpeg_mu = 9.2335;
-    config.sizes.jpeg_sigma = 0.05;
-    config.sizes.error_page_fraction = 0.0;
-    return config;
-  }();
+  options.universe = FixedJpegUniverse(60);
   options.topology.worker_pool_nodes = 8;
   // Every request re-distills, so the worker pool stays load-bearing throughout
   // the fault storm (cached variants would mask the workers entirely).
