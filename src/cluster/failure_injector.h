@@ -10,11 +10,11 @@
 #define SRC_CLUSTER_FAILURE_INJECTOR_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
+#include "src/obs/events.h"
 #include "src/util/rng.h"
 #include "src/util/time.h"
 
@@ -44,40 +44,19 @@ class FailureInjector {
   void RandomProcessCrashes(Rng* rng, SimDuration mean_interval, SimTime until,
                             std::function<ProcessId()> victim_picker);
 
-  // Mixed randomized faults: each round picks a fault class by weight. A picker
-  // returning no victim (kInvalidProcess / kInvalidNode / empty vector) skips the
-  // round; a class with weight 0 or no picker is never drawn.
-  struct RandomFaultMix {
-    SimDuration mean_interval = Seconds(10);
-    SimTime until = 0;
-    double process_crash_weight = 1.0;
-    double node_outage_weight = 0.0;  // CrashNode, then RestartNode after downtime.
-    double partition_weight = 0.0;    // Timed split, healed after duration.
-    SimDuration node_downtime = Seconds(5);
-    SimDuration partition_duration = Seconds(5);
-    std::function<ProcessId()> process_victim;
-    std::function<NodeId()> node_victim;
-    std::function<std::vector<NodeId>()> partition_victims;
-  };
-  void RandomFaults(Rng* rng, const RandomFaultMix& mix);
-
   // --- Observability --------------------------------------------------------------
   int64_t injected_count() const { return injected_; }
   // Human-readable, sim-time-stamped record of every fault actually applied (in
   // injection order); deterministic for a given seed, so chaos traces can diff it.
   const std::vector<std::string>& event_log() const { return events_; }
 
-  // Also forwards every applied fault to `sink` (sim time + description) — the
-  // flight recorder hangs fault instants on the Perfetto timeline through this.
-  void set_event_sink(std::function<void(SimTime, const std::string&)> sink) {
-    event_sink_ = std::move(sink);
-  }
+  // Also records every applied fault in `log` as a fault instant — the flight
+  // recorder hangs them on the Perfetto timeline.
+  void set_event_log(EventLog* log) { event_log_ = log; }
 
  private:
   void ScheduleNextRandomCrash(Rng* rng, SimDuration mean_interval, SimTime until,
                                std::function<ProcessId()> victim_picker);
-  void ScheduleNextRandomFault(Rng* rng, std::shared_ptr<const RandomFaultMix> mix);
-  void ApplyRandomFault(Rng* rng, const RandomFaultMix& mix);
   void LogEvent(const std::string& what);
 
   Cluster* cluster_;
@@ -85,7 +64,7 @@ class FailureInjector {
   int64_t injected_ = 0;
   int32_t next_group_ = 1;  // Partition groups allocated per PartitionAt call.
   std::vector<std::string> events_;
-  std::function<void(SimTime, const std::string&)> event_sink_;
+  EventLog* event_log_ = nullptr;
 };
 
 }  // namespace sns

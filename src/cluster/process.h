@@ -3,9 +3,9 @@
 // Paper §2.1: "each component in the diagram is confined to one node" — front ends,
 // the manager, workers, caches and the monitor are all Processes. A process owns an
 // endpoint on the SAN, can charge work to its node's CPU, set timers, and crash
-// without taking the system down (worker isolation, §2.2.5). Timers and pending CPU
-// completions die with the process: each runs only if its owner is still alive when
-// it fires (DESIGN.md §12).
+// without taking the system down (worker isolation, §2.2.5). Timers, periodic duties
+// and pending CPU completions die with the process: each runs only if its owner is
+// still alive when it fires (DESIGN.md §12).
 
 #ifndef SRC_CLUSTER_PROCESS_H_
 #define SRC_CLUSTER_PROCESS_H_
@@ -41,6 +41,8 @@ class Process {
   virtual void OnMessage(const Message& msg) { (void)msg; }
   // Called on graceful stop only. A crash (or node failure) skips this — all state
   // is simply gone, which is exactly the regime BASE soft state is designed for.
+  // Timers and group memberships need no teardown here: pending After/Every work
+  // dies with its owner, and unbinding the endpoint leaves every group.
   virtual void OnStop() {}
 
   // --- Identity ----------------------------------------------------------------
@@ -96,6 +98,19 @@ class Process {
   }
   // No-op for an id that already fired or was cancelled (event ids are single-use).
   void CancelTimer(EventId id) { sim()->Cancel(id); }
+
+  // Periodic duty owned by this process: runs `fn` `first` from now, then every
+  // `period`, until the process dies. Each tick re-arms the next before running
+  // `fn`, so work `fn` schedules for the next tick's time runs after that tick.
+  // `fn` stops itself through its owner's state (return early on a flag).
+  template <typename F>
+  void Every(SimDuration first, SimDuration period, F fn) {
+    // Capturing `this` is safe: After runs the tick only while this process lives.
+    After(first, [this, period, fn]() mutable {
+      Every(period, period, fn);
+      fn();
+    });
+  }
 
  private:
   friend class Cluster;

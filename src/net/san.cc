@@ -60,8 +60,6 @@ void San::AddNode(NodeId node, const LinkConfig& link) {
   state.partition_group = 0;
 }
 
-bool San::HasNode(NodeId node) const { return GetNode(node) != nullptr; }
-
 void San::SetNodeLinkConfig(NodeId node, const LinkConfig& link) {
   NodeState* state = GetNode(node);
   if (state != nullptr) {
@@ -114,10 +112,6 @@ void San::Unbind(const Endpoint& ep) {
       group.members.erase(it);
     }
   }
-}
-
-bool San::IsBound(const Endpoint& ep) const {
-  return handlers_.Find(PackEndpoint(ep)) != nullptr;
 }
 
 void San::Send(Message msg, SendOptions opts) {

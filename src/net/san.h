@@ -53,7 +53,6 @@ class San {
   // --- Topology -------------------------------------------------------------
   void AddNode(NodeId node);
   void AddNode(NodeId node, const LinkConfig& link);
-  bool HasNode(NodeId node) const;
   // Replaces both directions' link configuration for a node's NIC.
   void SetNodeLinkConfig(NodeId node, const LinkConfig& link);
 
@@ -63,7 +62,6 @@ class San {
   // --- Process endpoints ----------------------------------------------------
   void Bind(const Endpoint& ep, MessageHandler handler);
   void Unbind(const Endpoint& ep);
-  bool IsBound(const Endpoint& ep) const;
 
   // --- Sending --------------------------------------------------------------
   struct SendOptions {

@@ -72,7 +72,6 @@ class CriticalPathSummary {
   std::vector<std::string> StageNames() const;
   // Per-request seconds spent in the stage; nullptr for unknown stages.
   const LogHistogram* StageHistogram(const std::string& stage) const;
-  const LogHistogram& TotalHistogram() const { return total_hist_; }
 
   // {"requests":N,"total":{...},"stages":{"name":{"count":..,"total_s":..,
   //  "share":..,"p50_s":..,"p99_s":..},...}} — share is the stage's fraction of

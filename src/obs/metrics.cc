@@ -70,11 +70,6 @@ const Gauge* MetricsRegistry::FindGauge(const std::string& name) const {
   return it != gauges_.end() ? it->second.get() : nullptr;
 }
 
-const Histogram* MetricsRegistry::FindHistogram(const std::string& name) const {
-  auto it = histograms_.find(name);
-  return it != histograms_.end() ? it->second.get() : nullptr;
-}
-
 int64_t MetricsRegistry::CounterValue(const std::string& name) const {
   const Counter* c = FindCounter(name);
   return c != nullptr ? c->value() : 0;

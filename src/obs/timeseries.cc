@@ -39,15 +39,6 @@ void TimeSeriesRecorder::SampleAt(SimTime now) {
   }
 }
 
-std::vector<std::string> TimeSeriesRecorder::SeriesNames() const {
-  std::vector<std::string> names;
-  names.reserve(series_.size());
-  for (const auto& [name, s] : series_) {
-    names.push_back(name);
-  }
-  return names;
-}
-
 const TimeSeriesRecorder::Series* TimeSeriesRecorder::Find(const std::string& name) const {
   auto it = series_.find(name);
   return it == series_.end() ? nullptr : &it->second;

@@ -12,7 +12,7 @@
 //
 // The recorder is driven externally via SampleAt(now): it has no event-loop
 // dependency of its own (obs stays below sim/net in the layer order); SnsSystem
-// owns a PeriodicTimer that calls it on the configured cadence.
+// calls it from a self-re-arming tick on its simulator at the configured cadence.
 
 #ifndef SRC_OBS_TIMESERIES_H_
 #define SRC_OBS_TIMESERIES_H_
@@ -51,7 +51,6 @@ class TimeSeriesRecorder {
   SimDuration interval() const { return interval_; }
   int64_t samples_taken() const { return samples_taken_; }
   size_t series_count() const { return series_.size(); }
-  std::vector<std::string> SeriesNames() const;
   const Series* Find(const std::string& name) const;
 
   // Columnar JSON:

@@ -27,8 +27,8 @@ bool FenceAgent::Fence(ProcessId pid, const std::string& reason) {
                 victim->node(), reason.c_str());
   log_.push_back(line);
   SNS_LOG(kInfo, "fence") << line;
-  if (event_sink_) {
-    event_sink_(cluster_->sim()->now(), line);
+  if (event_log_ != nullptr) {
+    event_log_->RecordFault({cluster_->sim()->now(), line});
   }
   cluster_->Crash(pid);
   return true;

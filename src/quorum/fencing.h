@@ -15,11 +15,11 @@
 #define SRC_QUORUM_FENCING_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
+#include "src/obs/events.h"
 #include "src/obs/metrics.h"
 
 namespace sns {
@@ -34,12 +34,9 @@ class FenceAgent {
   // Deterministic and immediate: the fence device does not negotiate.
   bool Fence(ProcessId pid, const std::string& reason);
 
-  // Mirrors every kill line to an external timeline; SnsSystem folds these
-  // into the flight-recorder fault log so fence events annotate the
-  // availability timeline next to the faults that provoked them.
-  void set_event_sink(std::function<void(SimTime, const std::string&)> sink) {
-    event_sink_ = std::move(sink);
-  }
+  // Mirrors every kill line into `log` as a fault instant, so fence events
+  // annotate the availability timeline next to the faults that provoked them.
+  void set_event_log(EventLog* log) { event_log_ = log; }
 
   int64_t kills() const { return kills_; }
   const std::vector<std::string>& log() const { return log_; }
@@ -49,7 +46,7 @@ class FenceAgent {
   int64_t kills_ = 0;
   Counter* kills_counter_ = nullptr;
   std::vector<std::string> log_;
-  std::function<void(SimTime, const std::string&)> event_sink_;
+  EventLog* event_log_ = nullptr;
 };
 
 // SCSI-reserve analog for a shared KvStore: the highest generation to claim

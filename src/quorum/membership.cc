@@ -79,8 +79,8 @@ MembershipView MembershipService::Regroup(NodeId vantage, SimTime now, bool rene
         FormatTime(now).c_str(), static_cast<unsigned long long>(regroup_seq_),
         vantage, view.members.size(), view.votes_held, view.votes_total,
         view.quorate ? 1 : 0);
-    if (event_sink_) {
-      event_sink_(now, line);
+    if (event_log_ != nullptr) {
+      event_log_->RecordFault({now, line});
     }
     transitions_.push_back(std::move(line));
     last.members = view.members;
@@ -100,8 +100,8 @@ MembershipView MembershipService::Regroup(NodeId vantage, SimTime now, bool rene
 }
 
 void MembershipService::NoteTransition(SimTime at, std::string line) {
-  if (event_sink_) {
-    event_sink_(at, line);
+  if (event_log_ != nullptr) {
+    event_log_->RecordFault({at, line});
   }
   transitions_.push_back(std::move(line));
 }

@@ -21,12 +21,12 @@
 #define SRC_QUORUM_MEMBERSHIP_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "src/net/san.h"
+#include "src/obs/events.h"
 #include "src/obs/metrics.h"
 #include "src/quorum/quorum_disk.h"
 
@@ -70,12 +70,9 @@ class MembershipService {
   void NoteTransition(SimTime at, std::string line);
 
   // Mirrors every transition line (regroup view changes and NoteTransition
-  // entries) to an external timeline. SnsSystem folds these into the
-  // flight-recorder fault log, so quorum flips annotate the availability
-  // timeline and Perfetto traces alongside injected faults.
-  void set_event_sink(std::function<void(SimTime, const std::string&)> sink) {
-    event_sink_ = std::move(sink);
-  }
+  // entries) into `log` as a fault instant, so quorum flips annotate the
+  // availability timeline and Perfetto traces alongside injected faults.
+  void set_event_log(EventLog* log) { event_log_ = log; }
 
   uint64_t regroup_seq() const { return regroup_seq_; }
   const std::vector<std::string>& transitions() const { return transitions_; }
@@ -93,7 +90,7 @@ class MembershipService {
   };
   std::map<NodeId, LastView> last_;  // Per-vantage, for transition detection.
   std::vector<std::string> transitions_;
-  std::function<void(SimTime, const std::string&)> event_sink_;
+  EventLog* event_log_ = nullptr;
 
   Gauge* votes_held_gauge_ = nullptr;
   Gauge* votes_total_gauge_ = nullptr;

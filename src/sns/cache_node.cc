@@ -35,18 +35,8 @@ void CacheNodeProcess::OnStart() {
   used_bytes_gauge_ = metrics()->GetGauge(prefix + "used_bytes");
   rebalance_active_gauge_ = metrics()->GetGauge(prefix + "rebalance_active");
   JoinGroup(kGroupManagerBeacon);
-  report_timer_ = std::make_unique<PeriodicTimer>(sim(), sns_config_.load_report_period,
-                                                  [this] { ReportLoad(); });
-  report_timer_->Start();
-}
-
-void CacheNodeProcess::OnStop() {
-  report_timer_.reset();
-  if (rebalance_timer_ != kInvalidEventId) {
-    CancelTimer(rebalance_timer_);
-    rebalance_timer_ = kInvalidEventId;
-  }
-  LeaveGroup(kGroupManagerBeacon);
+  Every(sns_config_.load_report_period, sns_config_.load_report_period,
+        [this] { ReportLoad(); });
 }
 
 void CacheNodeProcess::OnMessage(const Message& msg) {

@@ -19,7 +19,6 @@
 #ifndef SRC_SNS_CACHE_NODE_H_
 #define SRC_SNS_CACHE_NODE_H_
 
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -27,7 +26,6 @@
 #include "src/cluster/process.h"
 #include "src/obs/events.h"
 #include "src/obs/metrics.h"
-#include "src/sim/timer.h"
 #include "src/sns/config.h"
 #include "src/sns/manager_follower.h"
 #include "src/sns/messages.h"
@@ -53,7 +51,6 @@ class CacheNodeProcess : public Process {
   CacheNodeProcess(const SnsConfig& sns_config, const CacheNodeConfig& config);
 
   void OnStart() override;
-  void OnStop() override;
   void OnMessage(const Message& msg) override;
 
   const ManagerFollower& follower() const { return follower_; }
@@ -141,7 +138,6 @@ class CacheNodeProcess : public Process {
   Gauge* misses_gauge_ = nullptr;
   Gauge* used_bytes_gauge_ = nullptr;
   Gauge* rebalance_active_gauge_ = nullptr;
-  std::unique_ptr<PeriodicTimer> report_timer_;
 };
 
 }  // namespace sns

@@ -90,22 +90,10 @@ void FrontEndProcess::OnStart() {
   profile_cache_gauge_ = metrics()->GetGauge(prefix + "profile_cache_bytes");
   latency_hist_ = metrics()->GetHistogram(prefix + "latency_s", 0.0, 30.0, 3000);
   JoinGroup(kGroupManagerBeacon);
-  heartbeat_timer_ =
-      std::make_unique<PeriodicTimer>(sim(), Seconds(1), [this] { Heartbeat(); });
-  heartbeat_timer_->StartWithDelay(Milliseconds(100.0 * (options_.fe_index % 10)));
-  watchdog_timer_ =
-      std::make_unique<PeriodicTimer>(sim(), Seconds(1), [this] { Watchdog(); });
-  watchdog_timer_->StartWithDelay(Milliseconds(500.0 + 137.0 * (options_.fe_index % 10)));
-  queue_sweep_timer_ =
-      std::make_unique<PeriodicTimer>(sim(), Milliseconds(250), [this] { ExpireAcceptQueue(); });
-  queue_sweep_timer_->StartWithDelay(Milliseconds(250.0 + 61.0 * (options_.fe_index % 10)));
-}
-
-void FrontEndProcess::OnStop() {
-  heartbeat_timer_.reset();
-  watchdog_timer_.reset();
-  queue_sweep_timer_.reset();
-  LeaveGroup(kGroupManagerBeacon);
+  int stagger = options_.fe_index % 10;
+  Every(Milliseconds(100.0 * stagger), Seconds(1), [this] { Heartbeat(); });
+  Every(Milliseconds(500.0 + 137.0 * stagger), Seconds(1), [this] { Watchdog(); });
+  Every(Milliseconds(250.0 + 61.0 * stagger), Milliseconds(250), [this] { ExpireAcceptQueue(); });
 }
 
 void FrontEndProcess::OnMessage(const Message& msg) {
@@ -182,36 +170,16 @@ void FrontEndProcess::HandleClientRequest(const Message& msg) {
     // occupying a thread.
     deadline_expired_->Increment();
     RecordSpan(ChildSpan(msg.trace), "fe.request", sim()->now(), "deadline_expired");
-    auto reply = std::make_shared<ClientResponsePayload>();
-    reply->client_request_id = request->client_request_id;
-    reply->status = TimeoutError("deadline expired before accept");
-    reply->source = ResponseSource::kError;
-    Message out;
-    out.dst = msg.src;
-    out.type = kMsgClientResponse;
-    out.transport = Transport::kReliable;
-    out.size_bytes = 96;
-    out.payload = reply;
-    out.trace = msg.trace;
-    Send(std::move(out));
+    SendErrorReply(msg.src, request->client_request_id,
+                   TimeoutError("deadline expired before accept"), msg.trace);
     return;
   }
   if (active_ >= config_.fe_thread_pool_size) {
     if (accept_queue_.size() >= kAcceptQueueCapacity) {
       shed_->Increment();
       RecordSpan(ChildSpan(msg.trace), "fe.request", sim()->now(), "shed");
-      auto reply = std::make_shared<ClientResponsePayload>();
-      reply->client_request_id = request->client_request_id;
-      reply->status = ResourceExhaustedError("front end saturated");
-      reply->source = ResponseSource::kError;
-      Message out;
-      out.dst = msg.src;
-      out.type = kMsgClientResponse;
-      out.transport = Transport::kReliable;
-      out.size_bytes = 96;
-      out.payload = reply;
-      out.trace = msg.trace;
-      Send(std::move(out));
+      SendErrorReply(msg.src, request->client_request_id,
+                     ResourceExhaustedError("front end saturated"), msg.trace);
       return;
     }
     SimTime deadline = request->deadline;
@@ -358,17 +326,23 @@ void FrontEndProcess::ExpireQueuedRequest(const AcceptedRequest& entry) {
   TraceContext fe_ctx = ChildSpan(entry.trace);
   RecordSpan(ChildSpan(fe_ctx), "fe.queue_wait", entry.enqueued_at, "deadline_expired");
   RecordSpan(fe_ctx, "fe.request", entry.enqueued_at, "deadline_expired");
+  SendErrorReply(entry.client, entry.request->client_request_id,
+                 TimeoutError("deadline expired in accept queue"), entry.trace);
+}
+
+void FrontEndProcess::SendErrorReply(const Endpoint& client, uint64_t client_request_id,
+                                     Status status, const TraceContext& trace) {
   auto reply = std::make_shared<ClientResponsePayload>();
-  reply->client_request_id = entry.request->client_request_id;
-  reply->status = TimeoutError("deadline expired in accept queue");
+  reply->client_request_id = client_request_id;
+  reply->status = std::move(status);
   reply->source = ResponseSource::kError;
   Message out;
-  out.dst = entry.client;
+  out.dst = client;
   out.type = kMsgClientResponse;
   out.transport = Transport::kReliable;
   out.size_bytes = 96;
-  out.payload = reply;
-  out.trace = entry.trace;
+  out.payload = std::move(reply);
+  out.trace = trace;
   Send(std::move(out));
 }
 
@@ -551,12 +525,6 @@ void FrontEndProcess::HandleProfilePutAck(const Message& msg) {
 }
 
 // ---------- Cache facility ------------------------------------------------------------
-
-std::optional<Endpoint> FrontEndProcess::CacheNodeForKey(const std::string& key) {
-  // Consistent-hash ring over the (soft-state) beaconed membership: a node
-  // join/leave remaps only ~1/N of the key space instead of nearly all of it.
-  return stub_.CacheNodeForKey(key);
-}
 
 void FrontEndProcess::DoCacheGet(RequestContext* ctx, const std::string& key,
                                  RequestContext::CacheCb cb) {
@@ -953,7 +921,10 @@ void FrontEndProcess::HandleTaskResponse(const Message& msg) {
   const auto& reply = static_cast<const TaskResponsePayload&>(*msg.payload);
   auto it = pending_tasks_.find(reply.task_id);
   if (it == pending_tasks_.end()) {
-    return;  // Late response after a timeout-triggered retry; drop it.
+    // The task already finished (answered, failed or gave up). A task keeps one
+    // id across attempts, so a late reply from an earlier attempt still lands
+    // while the task is pending; only replies after it finished are dropped.
+    return;
   }
   if (reply.status.code() == StatusCode::kResourceExhausted &&
       it->second.attempts_left > 1) {

@@ -29,7 +29,6 @@
 
 #include "src/cluster/process.h"
 #include "src/obs/metrics.h"
-#include "src/sim/timer.h"
 #include "src/sns/config.h"
 #include "src/sns/launcher.h"
 #include "src/sns/manager_stub.h"
@@ -136,7 +135,6 @@ class FrontEndProcess : public Process {
                   std::shared_ptr<FrontEndLogic> logic, ComponentLauncher* launcher);
 
   void OnStart() override;
-  void OnStop() override;
   void OnMessage(const Message& msg) override;
 
   // --- Observability ------------------------------------------------------------
@@ -263,6 +261,10 @@ class FrontEndProcess : public Process {
   void ExpireAcceptQueue();
   // Responds "deadline exceeded" for a request that died while still queued.
   void ExpireQueuedRequest(const AcceptedRequest& entry);
+  // Sends the 96-byte error reply for a request that never reached the logic
+  // (dead on arrival, shed, or expired in the accept queue).
+  void SendErrorReply(const Endpoint& client, uint64_t client_request_id, Status status,
+                      const TraceContext& trace);
   // Time left until `ctx`'s deadline; kTimeNever when the request has none.
   SimDuration RemainingBudget(const RequestContext* ctx) const;
   // An op timeout never extends past the request's remaining deadline budget.
@@ -318,7 +320,6 @@ class FrontEndProcess : public Process {
   void TaskAttemptFailed(uint64_t task_id, bool worker_dead);
   void FailTask(uint64_t task_id, Status status);
   void ReportWorkerDead(const Endpoint& worker, const std::string& type);
-  std::optional<Endpoint> CacheNodeForKey(const std::string& key);
 
   // --- Housekeeping -----------------------------------------------------------------
   void Heartbeat();
@@ -343,10 +344,6 @@ class FrontEndProcess : public Process {
   // Write-through (§3.1.4), byte-bounded: millions of distinct users must not
   // grow FE memory without limit.
   LruCache<std::string, UserProfile> profile_cache_;
-
-  std::unique_ptr<PeriodicTimer> heartbeat_timer_;
-  std::unique_ptr<PeriodicTimer> watchdog_timer_;
-  std::unique_ptr<PeriodicTimer> queue_sweep_timer_;
 
   // Registry instruments under "fe.<index>.*", bound in OnStart.
   Counter* completed_ = nullptr;

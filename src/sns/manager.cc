@@ -35,18 +35,11 @@ void ManagerProcess::OnStart() {
   // Subscribing to its own beacon group is how a manager discovers a rival
   // incarnation after a partition heals (its own beacons don't loop back).
   JoinGroup(kGroupManagerBeacon);
-  beacon_timer_ = std::make_unique<PeriodicTimer>(sim(), config_.manager_beacon_period,
-                                                  [this] { Beacon(); });
   // First beacon goes out almost immediately so a restarted manager re-announces
   // itself fast (workers re-register on hearing it, §3.1.3).
-  beacon_timer_->StartWithDelay(Milliseconds(10));
+  Every(Milliseconds(10), config_.manager_beacon_period, [this] { Beacon(); });
   SNS_LOG(kInfo, "manager") << "manager epoch " << epoch_ << " started at "
                             << endpoint().ToString();
-}
-
-void ManagerProcess::OnStop() {
-  beacon_timer_.reset();
-  LeaveGroup(kGroupManagerBeacon);
 }
 
 void ManagerProcess::OnMessage(const Message& msg) {
@@ -85,7 +78,6 @@ bool ManagerProcess::FenceAgainst(uint64_t observed_epoch, const char* evidence)
   demotions_->Increment();
   SNS_LOG(kWarning, "manager") << "epoch " << epoch_ << " observed epoch " << observed_epoch
                                << " via " << evidence << "; demoting (self-crash)";
-  beacon_timer_.reset();  // Go silent immediately; no farewell beacon.
   // Crash destroys this process object, so it must not run inside the current
   // message dispatch (After skips it if something else killed the process first).
   After(0, [owner = cluster(), me = pid()] { owner->Crash(me); });
@@ -200,7 +192,7 @@ bool ManagerProcess::HandleSpawnRequest(const SpawnRequestPayload& p) {
 
 void ManagerProcess::Beacon() {
   if (demoted_) {
-    return;
+    return;  // Go silent immediately; no farewell beacon.
   }
   SimTime now = sim()->now();
   // Regroup round (MSCS-style): leadership is asserted only with a quorum of

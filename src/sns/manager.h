@@ -20,13 +20,11 @@
 #define SRC_SNS_MANAGER_H_
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/quorum/membership.h"
-#include "src/sim/timer.h"
 #include "src/sns/config.h"
 #include "src/sns/launcher.h"
 #include "src/sns/messages.h"
@@ -50,7 +48,6 @@ class ManagerProcess : public Process {
                  MembershipService* membership = nullptr);
 
   void OnStart() override;
-  void OnStop() override;
   void OnMessage(const Message& msg) override;
 
   uint64_t epoch() const { return epoch_; }
@@ -147,7 +144,6 @@ class ManagerProcess : public Process {
   // worker TTL.
   std::map<NodeId, SimTime> pending_placements_;
 
-  std::unique_ptr<PeriodicTimer> beacon_timer_;
   uint64_t beacon_seq_ = 0;
 
   // Registry-backed instruments, bound in OnStart.

@@ -20,15 +20,7 @@ void MonitorProcess::OnStart() {
   stale_beacons_fenced_ = metrics()->GetCounter("monitor.stale_beacons_fenced");
   JoinGroup(kGroupManagerBeacon);
   JoinGroup(kGroupMonitor);
-  sweep_timer_ = std::make_unique<PeriodicTimer>(sim(), config_.monitor_report_period,
-                                                 [this] { Sweep(); });
-  sweep_timer_->Start();
-}
-
-void MonitorProcess::OnStop() {
-  sweep_timer_.reset();
-  LeaveGroup(kGroupManagerBeacon);
-  LeaveGroup(kGroupMonitor);
+  Every(config_.monitor_report_period, config_.monitor_report_period, [this] { Sweep(); });
 }
 
 void MonitorProcess::OnMessage(const Message& msg) {

@@ -16,13 +16,11 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/cluster/process.h"
 #include "src/obs/metrics.h"
-#include "src/sim/timer.h"
 #include "src/sns/config.h"
 #include "src/sns/launcher.h"
 #include "src/sns/manager_follower.h"
@@ -46,7 +44,6 @@ class MonitorProcess : public Process {
   explicit MonitorProcess(const SnsConfig& config, ComponentLauncher* launcher = nullptr);
 
   void OnStart() override;
-  void OnStop() override;
   void OnMessage(const Message& msg) override;
 
   // Operator notification hook (the paper's pager/email path).
@@ -90,7 +87,6 @@ class MonitorProcess : public Process {
   ComponentLauncher* launcher_;
   SimTime last_beacon_at_ = -1;
   ManagerFollower follower_;
-  std::unique_ptr<PeriodicTimer> sweep_timer_;
   // Registry instruments under "monitor.*", bound in OnStart.
   Counter* beacons_observed_ = nullptr;
   Counter* reports_observed_ = nullptr;

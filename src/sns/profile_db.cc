@@ -29,18 +29,13 @@ void ProfileDbProcess::OnStart() {
   if (config_.reservation != nullptr) {
     config_.reservation->Claim(config_.generation);
   }
-  heartbeat_timer_ =
-      std::make_unique<PeriodicTimer>(sim(), Seconds(1), [this] { Heartbeat(); });
-  heartbeat_timer_->StartWithDelay(Milliseconds(123.0));
-}
-
-void ProfileDbProcess::OnStop() {
-  heartbeat_timer_.reset();
-  LeaveGroup(kGroupManagerBeacon);
+  Every(Milliseconds(123.0), Seconds(1), [this] { Heartbeat(); });
 }
 
 void ProfileDbProcess::Heartbeat() {
-  // Supersede stops this timer, so a superseded incarnation never reports.
+  if (superseded_) {
+    return;  // A superseded incarnation never reports.
+  }
   if (auto msg = follower_.LoadReport(endpoint(), 0, 0)) {
     Send(std::move(*msg));
   }
@@ -54,7 +49,6 @@ void ProfileDbProcess::Supersede(const char* evidence) {
   superseded_counter_->Increment();
   SNS_LOG(kWarning, "profile-db") << "generation " << config_.generation
                                   << " superseded via " << evidence << "; self-demoting";
-  heartbeat_timer_.reset();
   // Crash destroys this process object; defer it out of the current dispatch.
   After(0, [owner = cluster(), me = pid()] { owner->Crash(me); });
 }

@@ -7,12 +7,10 @@
 #ifndef SRC_SNS_PROFILE_DB_H_
 #define SRC_SNS_PROFILE_DB_H_
 
-#include <memory>
 
 #include "src/cluster/process.h"
 #include "src/quorum/fencing.h"
 #include "src/quorum/membership.h"
-#include "src/sim/timer.h"
 #include "src/sns/config.h"
 #include "src/sns/manager_follower.h"
 #include "src/sns/messages.h"
@@ -47,7 +45,6 @@ class ProfileDbProcess : public Process {
   ProfileDbProcess(const SnsConfig& sns_config, const ProfileDbConfig& config, KvStore* store);
 
   void OnStart() override;
-  void OnStop() override;
   void OnMessage(const Message& msg) override;
 
   const ManagerFollower& follower() const { return follower_; }
@@ -68,7 +65,6 @@ class ProfileDbProcess : public Process {
   KvStore* store_;
   ManagerFollower follower_;
   bool superseded_ = false;
-  std::unique_ptr<PeriodicTimer> heartbeat_timer_;
   int64_t reads_ = 0;
   int64_t writes_ = 0;
   int64_t writes_rejected_ = 0;

@@ -22,18 +22,23 @@ SnsSystem::SnsSystem(const SnsConfig& config, const SystemTopology& topology)
   // Quorum regroups and fence kills land on the same fault timeline as injected
   // failures, so the availability ledger (and Perfetto traces) can annotate
   // yield dips with the transition that caused or resolved them.
-  membership_->set_event_sink(
-      [this](SimTime at, const std::string& what) { event_log_.RecordFault({at, what}); });
-  fence_agent_->set_event_sink(
-      [this](SimTime at, const std::string& what) { event_log_.RecordFault({at, what}); });
+  membership_->set_event_log(&event_log_);
+  fence_agent_->set_event_log(&event_log_);
   availability_.BindMetrics(cluster_.metrics());
 }
 
 SnsSystem::~SnsSystem() = default;
 
 void SnsSystem::AttachFailureInjector(FailureInjector* injector) {
-  injector->set_event_sink(
-      [this](SimTime at, const std::string& what) { event_log_.RecordFault({at, what}); });
+  injector->set_event_log(&event_log_);
+}
+
+void SnsSystem::ScheduleRecorderTick() {
+  // Re-arm before sampling, the same order as Process::Every.
+  sim_.Schedule(config_.timeseries_interval, [this] {
+    ScheduleRecorderTick();
+    recorder_->SampleAt(sim_.now());
+  });
 }
 
 void SnsSystem::AddNodeProbes(NodeId node) {
@@ -114,9 +119,7 @@ void SnsSystem::Start() {
   for (NodeId node : cluster_.AllNodes()) {
     AddNodeProbes(node);
   }
-  recorder_timer_ = std::make_unique<PeriodicTimer>(
-      &sim_, config_.timeseries_interval, [this] { recorder_->SampleAt(sim_.now()); });
-  recorder_timer_->Start();
+  ScheduleRecorderTick();
 
   // --- Spawn the infrastructure processes. ---
   manager_pid_ = cluster_.Spawn(
@@ -422,22 +425,6 @@ ProfileDbProcess* SnsSystem::profile_db() const {
 }
 
 Process* SnsSystem::origin_process() const { return cluster_.Find(origin_pid_); }
-
-int64_t SnsSystem::TotalCompletedRequests() const {
-  int64_t total = 0;
-  for (FrontEndProcess* fe : front_ends()) {
-    total += fe->completed_requests();
-  }
-  return total;
-}
-
-int64_t SnsSystem::TotalErrorResponses() const {
-  int64_t total = 0;
-  for (FrontEndProcess* fe : front_ends()) {
-    total += fe->error_responses();
-  }
-  return total;
-}
 
 RunArtifact CollectRunArtifact(SnsSystem* system, const std::string& bench) {
   RunArtifact artifact;

@@ -29,7 +29,6 @@
 #include "src/quorum/quorum_disk.h"
 #include "src/obs/timeseries.h"
 #include "src/sim/simulator.h"
-#include "src/sim/timer.h"
 #include "src/sns/cache_node.h"
 #include "src/sns/config.h"
 #include "src/sns/front_end.h"
@@ -169,14 +168,13 @@ class SnsSystem : public ComponentLauncher {
   const std::vector<NodeId>& overflow_pool() const { return overflow_pool_; }
   NodeId origin_node() const { return origin_node_; }
 
-  // Aggregate FE stats (across current incarnations).
-  int64_t TotalCompletedRequests() const;
-  int64_t TotalErrorResponses() const;
-
  private:
   // Registers the per-node CPU gauges ("node.<id>.cpu_util" / ".cpu_backlog_s")
   // with the time-series recorder.
   void AddNodeProbes(NodeId node);
+  // Samples the flight recorder every timeseries_interval; the simulator dies
+  // with this system, so the tick needs no handle.
+  void ScheduleRecorderTick();
   NodeId PickUpNodePreferring(NodeId preferred, NodeId requester) const;
   // True when `requester` has no vantage point (kInvalidNode) or `target` is up and
   // on the requester's side of any SAN partition.
@@ -203,7 +201,6 @@ class SnsSystem : public ComponentLauncher {
   EventLog event_log_;
   AvailabilityLedger availability_;
   std::unique_ptr<TimeSeriesRecorder> recorder_;
-  std::unique_ptr<PeriodicTimer> recorder_timer_;
 
   std::function<std::shared_ptr<FrontEndLogic>(int)> logic_factory_;
   std::function<std::unique_ptr<Process>()> origin_factory_;

@@ -23,19 +23,12 @@ void WorkerProcess::OnStart() {
   expired_ = metrics()->GetCounter(prefix + "expired_tasks");
   queue_gauge_ = metrics()->GetGauge(prefix + "queue_length");
   JoinGroup(kGroupManagerBeacon);
-  report_timer_ = std::make_unique<PeriodicTimer>(sim(), config_.load_report_period,
-                                                  [this] { ReportLoad(); });
   // Stagger reports across workers so hundreds of colocated distillers don't
   // synchronize their announcements into one burst at the manager's NIC.
   auto stagger = static_cast<SimDuration>(
       (static_cast<uint64_t>(pid()) * 0x9E3779B97F4A7C15ULL) %
       static_cast<uint64_t>(config_.load_report_period));
-  report_timer_->StartWithDelay(stagger + Milliseconds(1));
-}
-
-void WorkerProcess::OnStop() {
-  report_timer_.reset();
-  LeaveGroup(kGroupManagerBeacon);
+  Every(stagger + Milliseconds(1), config_.load_report_period, [this] { ReportLoad(); });
 }
 
 void WorkerProcess::OnMessage(const Message& msg) {

@@ -20,7 +20,6 @@
 
 #include "src/cluster/process.h"
 #include "src/obs/metrics.h"
-#include "src/sim/timer.h"
 #include "src/sns/config.h"
 #include "src/sns/manager_follower.h"
 #include "src/sns/messages.h"
@@ -33,7 +32,6 @@ class WorkerProcess : public Process {
   WorkerProcess(const SnsConfig& config, TaccWorkerPtr worker);
 
   void OnStart() override;
-  void OnStop() override;
   void OnMessage(const Message& msg) override;
 
   // --- Introspection (used by the Fig. 8 queue-length sampler and tests) -----------
@@ -82,7 +80,6 @@ class WorkerProcess : public Process {
   Counter* rejected_ = nullptr;
   Counter* expired_ = nullptr;
   Gauge* queue_gauge_ = nullptr;
-  std::unique_ptr<PeriodicTimer> report_timer_;
 };
 
 }  // namespace sns

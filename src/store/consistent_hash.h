@@ -32,7 +32,6 @@ class ConsistentHashRing {
   void AddMember(int64_t member);
   void RemoveMember(int64_t member);
   bool HasMember(int64_t member) const { return members_.count(member) > 0; }
-  size_t MemberCount() const { return members_.size(); }
   size_t PointCount() const { return ring_.size(); }
   std::vector<int64_t> Members() const;
 

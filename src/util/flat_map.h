@@ -77,22 +77,6 @@ class FlatMap {
     }
   }
 
-  // Erases every entry for which pred(key, value) is true; returns the count.
-  template <typename Pred>
-  size_t EraseIf(Pred pred) {
-    size_t erased = 0;
-    for (Slot& s : slots_) {
-      if (s.state == kFull && pred(s.key, s.value)) {
-        s.state = kTombstone;
-        s.value = V();
-        --size_;
-        ++tombstones_;
-        ++erased;
-      }
-    }
-    return erased;
-  }
-
   void Clear() {
     slots_.clear();
     size_ = 0;

@@ -18,7 +18,6 @@
 
 #include "src/cluster/process.h"
 #include "src/obs/availability.h"
-#include "src/sim/timer.h"
 #include "src/sns/messages.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"

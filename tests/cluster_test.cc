@@ -29,8 +29,12 @@ class TestProcess : public Process {
 
   using Process::After;
   using Process::CancelTimer;
+  using Process::Every;
   using Process::RunOnCpu;
   using Process::Send;
+
+  // Owner state a periodic duty consults to silence itself.
+  bool silenced = false;
 
  private:
   std::vector<std::string>* log_;
@@ -185,6 +189,85 @@ TEST_F(ClusterTest, CancelTimerOnFiredIdIsNoOp) {
   p->CancelTimer(first);
   sim_.RunFor(Seconds(2));
   EXPECT_EQ(fired, 11);
+}
+
+TEST_F(ClusterTest, EveryFiresAtFirstThenEveryPeriod) {
+  NodeId node = cluster_.AddNode();
+  std::vector<std::string> log;
+  ProcessId pid = cluster_.Spawn(node, std::make_unique<TestProcess>(&log));
+  auto* p = static_cast<TestProcess*>(cluster_.Find(pid));
+  std::vector<SimTime> fires;
+  p->Every(Milliseconds(100.0), Seconds(1), [this, &fires] { fires.push_back(sim_.now()); });
+  sim_.RunUntil(Seconds(3) + Milliseconds(100.0));
+  EXPECT_EQ(fires, (std::vector<SimTime>{Milliseconds(100.0), Seconds(1) + Milliseconds(100.0),
+                                         Seconds(2) + Milliseconds(100.0),
+                                         Seconds(3) + Milliseconds(100.0)}));
+}
+
+TEST_F(ClusterTest, EveryDutyStopsThroughOwnerState) {
+  // A live owner silences a duty with its own state, as the demoted manager
+  // and the superseded profile DB do; there is no handle to stop.
+  NodeId node = cluster_.AddNode();
+  std::vector<std::string> log;
+  ProcessId pid = cluster_.Spawn(node, std::make_unique<TestProcess>(&log));
+  auto* p = static_cast<TestProcess*>(cluster_.Find(pid));
+  int fired = 0;
+  p->Every(Seconds(1), Seconds(1), [p, &fired] {
+    if (p->silenced) {
+      return;
+    }
+    if (++fired == 3) {
+      p->silenced = true;
+    }
+  });
+  sim_.RunFor(Seconds(10));
+  EXPECT_EQ(fired, 3);
+  // The owner lives, so the (silent) tick keeps re-arming.
+  EXPECT_EQ(sim_.pending_events(), 1u);
+}
+
+TEST_F(ClusterTest, EveryDiesWithOwnerAndStopsRearming) {
+  NodeId node = cluster_.AddNode();
+  for (bool graceful : {false, true}) {
+    SCOPED_TRACE(graceful ? "Stop" : "Crash");
+    size_t pending_before = sim_.pending_events();
+    std::vector<std::string> log;
+    ProcessId pid = cluster_.Spawn(node, std::make_unique<TestProcess>(&log));
+    auto* p = static_cast<TestProcess*>(cluster_.Find(pid));
+    int fired = 0;
+    p->Every(Seconds(1), Seconds(1), [&fired] { ++fired; });
+    sim_.RunFor(Milliseconds(2500.0));
+    ASSERT_EQ(fired, 2);
+    if (graceful) {
+      cluster_.Stop(pid);
+    } else {
+      cluster_.Crash(pid);
+    }
+    // The tick that comes due after the death fails the liveness check and
+    // does not re-arm: one period later the chain has left the wheel.
+    sim_.RunFor(Seconds(1));
+    EXPECT_EQ(sim_.pending_events(), pending_before);
+    sim_.RunFor(Seconds(5));
+    EXPECT_EQ(fired, 2);
+  }
+}
+
+TEST_F(ClusterTest, EveryRearmsBeforeRunningDuty) {
+  // An event the duty schedules for exactly the next tick's time runs after
+  // that tick: the tick re-armed first, so it holds the earlier seq.
+  NodeId node = cluster_.AddNode();
+  std::vector<std::string> log;
+  ProcessId pid = cluster_.Spawn(node, std::make_unique<TestProcess>(&log));
+  auto* p = static_cast<TestProcess*>(cluster_.Find(pid));
+  std::vector<std::string> order;
+  int ticks = 0;
+  p->Every(Milliseconds(500.0), Seconds(1), [this, &order, &ticks] {
+    order.push_back("tick" + std::to_string(++ticks));
+    sim_.Schedule(Seconds(1),
+                  [&order, n = ticks] { order.push_back("event" + std::to_string(n)); });
+  });
+  sim_.RunUntil(Milliseconds(2500.0));
+  EXPECT_EQ(order, (std::vector<std::string>{"tick1", "tick2", "event1", "tick3", "event2"}));
 }
 
 TEST_F(ClusterTest, CpuIsFifoPerNode) {

@@ -14,11 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "bench/reference_heap_sim.h"
 #include "src/sim/simulator.h"
-#include "src/sim/timer.h"
 #include "src/util/rng.h"
 
 namespace sns {
@@ -165,22 +165,26 @@ TEST(SimDifferentialTest, RearmHeavySequences) {
 }
 
 TEST(SimDifferentialTest, PeriodicTimerSequencesMatchReference) {
-  // PeriodicTimer drives the paper's beacon channels; its reschedule-then-fire
-  // loop must produce identical firing counts and clocks on the wheel as a
-  // hand-rolled periodic chain on the reference heap.
+  // Periodic duties (Process::Every) drive the paper's beacon channels as a
+  // chain of one-shot events, each re-arming the next. The same hand-rolled
+  // chain must produce identical firing counts and clocks on the wheel and on
+  // the reference heap.
   Simulator wheel;
   ReferenceHeapSim heap;
 
   std::vector<SimTime> wheel_fires;
-  PeriodicTimer beacon(&wheel, Milliseconds(250.0), [&] { wheel_fires.push_back(wheel.now()); });
-  beacon.Start();
+  std::function<void()> wheel_rearm = [&] {
+    wheel_fires.push_back(wheel.now());
+    wheel.Schedule(Milliseconds(250.0), wheel_rearm);
+  };
+  wheel.Schedule(Milliseconds(250.0), wheel_rearm);
 
   std::vector<SimTime> heap_fires;
-  std::function<void()> rearm = [&] {
+  std::function<void()> heap_rearm = [&] {
     heap_fires.push_back(heap.now());
-    heap.Schedule(Milliseconds(250.0), rearm);
+    heap.Schedule(Milliseconds(250.0), heap_rearm);
   };
-  heap.Schedule(Milliseconds(250.0), rearm);
+  heap.Schedule(Milliseconds(250.0), heap_rearm);
 
   // Jagged advance pattern so firings land mid-window and at exact boundaries.
   Rng rng(5);
@@ -191,8 +195,8 @@ TEST(SimDifferentialTest, PeriodicTimerSequencesMatchReference) {
     ASSERT_EQ(wheel.now(), heap.now());
     ASSERT_EQ(wheel_fires, heap_fires);
   }
-  beacon.Stop();
-  EXPECT_FALSE(beacon.running());
+  EXPECT_FALSE(wheel_fires.empty());
+  EXPECT_EQ(wheel.pending_events(), heap.pending_events());
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/sim/simulator.h"
-#include "src/sim/timer.h"
 
 namespace sns {
 namespace {
@@ -251,51 +250,6 @@ TEST(SimulatorTest, MoveOnlyAndLargeCaptures) {
   sim.Run();
   EXPECT_EQ(seen, 7);
   EXPECT_EQ(got, 42);
-}
-
-TEST(PeriodicTimerTest, FiresRepeatedlyUntilStopped) {
-  Simulator sim;
-  int fired = 0;
-  PeriodicTimer timer(&sim, Seconds(1), [&] { ++fired; });
-  timer.Start();
-  sim.RunUntil(Seconds(5) + Milliseconds(1.0));
-  EXPECT_EQ(fired, 5);
-  timer.Stop();
-  sim.RunFor(Seconds(5));
-  EXPECT_EQ(fired, 5);
-}
-
-TEST(PeriodicTimerTest, InitialDelayOverride) {
-  Simulator sim;
-  int fired = 0;
-  PeriodicTimer timer(&sim, Seconds(10), [&] { ++fired; });
-  timer.StartWithDelay(Milliseconds(1.0));
-  sim.RunUntil(Seconds(1));
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(PeriodicTimerTest, CallbackMayStopTimer) {
-  Simulator sim;
-  int fired = 0;
-  PeriodicTimer timer(&sim, Seconds(1), [&] {
-    if (++fired == 3) {
-      timer.Stop();
-    }
-  });
-  timer.Start();
-  sim.RunFor(Seconds(10));
-  EXPECT_EQ(fired, 3);
-}
-
-TEST(PeriodicTimerTest, DestructionCancels) {
-  Simulator sim;
-  int fired = 0;
-  {
-    PeriodicTimer timer(&sim, Seconds(1), [&] { ++fired; });
-    timer.Start();
-  }
-  sim.RunFor(Seconds(5));
-  EXPECT_EQ(fired, 0);
 }
 
 }  // namespace
