@@ -117,16 +117,14 @@ InvariantReport CheckInvariantsAtQuiesce(SnsSystem* system,
   }
 
   // 7. Eventually exactly one live profile-DB incarnation.
-  if (system->topology().with_profile_db) {
-    std::vector<ProfileDbProcess*> dbs = LiveProfileDbProcesses(system);
-    if (dbs.size() != 1) {
-      std::string detail = StrFormat("%zu live profile-db incarnation(s):", dbs.size());
-      for (ProfileDbProcess* db : dbs) {
-        detail += StrFormat(" gen=%llu@n%d", static_cast<unsigned long long>(db->generation()),
-                            db->node());
-      }
-      violate("exactly-one-profile-db", detail);
+  std::vector<ProfileDbProcess*> dbs = LiveProfileDbProcesses(system);
+  if (dbs.size() != 1) {
+    std::string detail = StrFormat("%zu live profile-db incarnation(s):", dbs.size());
+    for (ProfileDbProcess* db : dbs) {
+      detail += StrFormat(" gen=%llu@n%d", static_cast<unsigned long long>(db->generation()),
+                          db->node());
     }
+    violate("exactly-one-profile-db", detail);
   }
 
   // 1. Eventually exactly one live manager.

@@ -26,24 +26,6 @@ void San::BindMetrics(MetricsRegistry* registry) {
                                        ctr_multicast_suppressed_->value());
 }
 
-void San::LogEvent(SanEvent::Kind kind, const Message& msg, uint64_t seq, const char* detail) {
-  if (event_log_ == nullptr || seq == 0) {
-    return;
-  }
-  SanEvent ev;
-  ev.kind = kind;
-  ev.seq = seq;
-  ev.at = sim_->now();
-  ev.src_node = msg.src.node;
-  ev.dst_node = msg.dst.node;
-  ev.msg_type = msg.type;
-  ev.size_bytes = msg.size_bytes;
-  ev.trace_id = msg.trace.trace_id;
-  ev.span_id = msg.trace.span_id;
-  ev.detail = detail;
-  event_log_->RecordMessage(std::move(ev));
-}
-
 void San::AddNode(NodeId node) { AddNode(node, config_.default_link); }
 
 void San::AddNode(NodeId node, const LinkConfig& link) {
@@ -117,12 +99,9 @@ void San::Unbind(const Endpoint& ep) {
 void San::Send(Message msg, SendOptions opts) {
   SNS_PROFILE_ZONE_STRIDE("san.route", 4);
   msg.sent_at = sim_->now();
-  uint64_t seq = (event_log_ != nullptr && msg.trace.valid()) ? event_log_->NextSeq() : 0;
-  LogEvent(SanEvent::Kind::kSend, msg, seq, "");
   NodeState* src_node = GetNode(msg.src.node);
   if (src_node == nullptr || !src_node->up) {
     CountLost();
-    LogEvent(SanEvent::Kind::kDrop, msg, seq, "unreachable");
     return;
   }
   bool reliable = msg.transport == Transport::kReliable;
@@ -144,28 +123,25 @@ void San::Send(Message msg, SendOptions opts) {
       src_node->egress->Transmit(sim_->now(), msg.size_bytes, /*drop_if_saturated=*/!reliable);
   if (!departure.has_value()) {
     CountDropped();
-    LogEvent(SanEvent::Kind::kDrop, msg, seq, "saturated");
     return;
   }
   SimTime arrival = *departure + src_node->egress->propagation();
-  DeliverToNode(std::move(msg), arrival, setup, std::move(opts), seq);
+  DeliverToNode(std::move(msg), arrival, setup, std::move(opts));
 }
 
-void San::DeliverToNode(Message msg, SimTime arrival, bool setup, SendOptions opts,
-                        uint64_t seq) {
+void San::DeliverToNode(Message msg, SimTime arrival, bool setup, SendOptions opts) {
   // Both hop lambdas are `mutable` and hand the Message onward by move: one
   // in-flight message performs zero Message copies and zero payload-refcount
   // round-trips between Send() and the handler. Their capture sets are sized to
   // stay within SimCallback's inline storage — growing either is a perf bug.
-  sim_->ScheduleAt(arrival, [this, msg = std::move(msg), setup, opts = std::move(opts),
-                             seq]() mutable {
+  sim_->ScheduleAt(arrival, [this, msg = std::move(msg), setup,
+                             opts = std::move(opts)]() mutable {
     NodeState* src_node = GetNode(msg.src.node);
     NodeState* dst_node = GetNode(msg.dst.node);
     bool reliable = msg.transport == Transport::kReliable;
     if (src_node == nullptr || dst_node == nullptr || !src_node->up || !dst_node->up ||
         !Reachable(msg.src.node, msg.dst.node)) {
       CountLost();
-      LogEvent(SanEvent::Kind::kDrop, msg, seq, "unreachable");
       return;
     }
     if (setup) {
@@ -175,26 +151,23 @@ void San::DeliverToNode(Message msg, SimTime arrival, bool setup, SendOptions op
                                               /*drop_if_saturated=*/!reliable);
     if (!finish.has_value()) {
       CountDropped();
-      LogEvent(SanEvent::Kind::kDrop, msg, seq, "saturated");
       return;
     }
     SimTime deliver_at = *finish + dst_node->ingress->propagation();
     if (setup) {
       deliver_at += config_.tcp_setup_cost;
     }
-    sim_->ScheduleAt(deliver_at,
-                     [this, msg = std::move(msg), opts = std::move(opts), seq]() mutable {
-                       FinalDeliver(msg, opts, seq);
-                     });
+    sim_->ScheduleAt(deliver_at, [this, msg = std::move(msg), opts = std::move(opts)]() mutable {
+      FinalDeliver(msg, opts);
+    });
   });
 }
 
-void San::FinalDeliver(const Message& msg, const SendOptions& opts, uint64_t seq) {
+void San::FinalDeliver(const Message& msg, const SendOptions& opts) {
   SNS_PROFILE_ZONE_STRIDE("san.deliver", 4);
   const NodeState* dst_node = GetNode(msg.dst.node);
   if (dst_node == nullptr || !dst_node->up || !Reachable(msg.src.node, msg.dst.node)) {
     CountLost();
-    LogEvent(SanEvent::Kind::kDrop, msg, seq, "unreachable");
     return;
   }
   const MessageHandler* bound = handlers_.Find(PackEndpoint(msg.dst));
@@ -202,19 +175,16 @@ void San::FinalDeliver(const Message& msg, const SendOptions& opts, uint64_t seq
     if (msg.transport == Transport::kReliable) {
       ++reliable_failed_fast_;
       if (ctr_failed_fast_ != nullptr) ctr_failed_fast_->Increment();
-      LogEvent(SanEvent::Kind::kDrop, msg, seq, "no_handler");
       if (opts.on_failed) {
         opts.on_failed(msg);
       }
     } else {
       CountLost();
-      LogEvent(SanEvent::Kind::kDrop, msg, seq, "no_handler");
     }
     return;
   }
   ++messages_delivered_;
   if (ctr_delivered_ != nullptr) ctr_delivered_->Increment();
-  LogEvent(SanEvent::Kind::kDeliver, msg, seq, "");
   // Copy the handler: the callee may unbind (e.g., crash) during handling.
   MessageHandler handler = *bound;
   handler(msg);
@@ -291,10 +261,7 @@ void San::SendMulticast(McastGroup group, Message msg) {
     }
     Message copy = msg;
     copy.dst = Endpoint{node, port};
-    // Each replica gets its own lifecycle on the timeline.
-    uint64_t seq = (event_log_ != nullptr && copy.trace.valid()) ? event_log_->NextSeq() : 0;
-    LogEvent(SanEvent::Kind::kSend, copy, seq, "");
-    DeliverToNode(std::move(copy), arrival, /*setup=*/false, SendOptions{}, seq);
+    DeliverToNode(std::move(copy), arrival, /*setup=*/false, SendOptions{});
   }
 }
 

@@ -27,7 +27,6 @@
 
 #include "src/net/link.h"
 #include "src/net/message.h"
-#include "src/obs/events.h"
 #include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
 #include "src/util/flat_map.h"
@@ -106,10 +105,6 @@ class San {
   bool NodeUp(NodeId node) const;
 
   // --- Observability ----------------------------------------------------------
-  // Flight recorder: every traced message's send/deliver/drop is logged with a
-  // correlating sequence number (untraced control chatter is skipped to bound
-  // volume). Not owned; may be null.
-  void set_event_log(EventLog* log) { event_log_ = log; }
   // Mirrors the transport counters below into the registry so monitor snapshots
   // and the time-series recorder see them ("san.messages_delivered", ...).
   void BindMetrics(MetricsRegistry* registry);
@@ -162,12 +157,9 @@ class San {
 
   // Enqueues on the destination's ingress link at `arrival` and schedules final
   // delivery. `setup` adds handshake packets and latency (new reliable connection).
-  // `seq` correlates the event-log entries of one message's lifecycle (0 = untraced).
-  void DeliverToNode(Message msg, SimTime arrival, bool setup, SendOptions opts, uint64_t seq);
-  void FinalDeliver(const Message& msg, const SendOptions& opts, uint64_t seq);
+  void DeliverToNode(Message msg, SimTime arrival, bool setup, SendOptions opts);
+  void FinalDeliver(const Message& msg, const SendOptions& opts);
 
-  // Event-log helper: records the lifecycle step when the message is traced.
-  void LogEvent(SanEvent::Kind kind, const Message& msg, uint64_t seq, const char* detail);
   void CountLost() {
     ++messages_lost_unreachable_;
     if (ctr_lost_unreachable_ != nullptr) ctr_lost_unreachable_->Increment();
@@ -190,7 +182,6 @@ class San {
   int64_t messages_lost_unreachable_ = 0;
   int64_t multicast_suppressed_ = 0;
 
-  EventLog* event_log_ = nullptr;
   Counter* ctr_delivered_ = nullptr;
   Counter* ctr_datagrams_dropped_ = nullptr;
   Counter* ctr_failed_fast_ = nullptr;

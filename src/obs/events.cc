@@ -4,18 +4,10 @@
 
 namespace sns {
 
-void EventLog::RecordMessage(SanEvent ev) {
-  ++messages_recorded_;
-  messages_.push_back(std::move(ev));
-  while (messages_.size() > max_messages_) {
-    messages_.pop_front();
-  }
-}
-
 void EventLog::RecordFault(FaultInstant ev) {
   ++faults_recorded_;
   faults_.push_back(std::move(ev));
-  while (faults_.size() > max_faults_) {
+  while (faults_.size() > kMaxFaults) {
     faults_.pop_front();
   }
 }

@@ -1,15 +1,14 @@
-// Flight-recorder event log: SAN message lifecycle events and injected-fault
-// instants, collected on one sim-time timeline.
+// Flight-recorder event log: the cluster's instants on one sim-time timeline —
+// injected faults, fence kills, quorum transitions and cache rebalance windows.
 //
-// Spans (src/obs/trace.h) show what each component did; this log adds the edges
-// between them — every traced message's send, deliver, or drop, correlated by a
-// per-message sequence number — plus the faults the chaos harness injected. The
-// Perfetto exporter (src/obs/perfetto.h) joins all three into a single
-// causally-linked timeline, the debugging view the cluster-service literature
-// argues is the only way to follow distributed state transitions.
+// Spans (src/obs/trace.h) are the one causal record: every request hop is a span
+// that names its parent, and the Perfetto exporter (src/obs/perfetto.h) draws
+// the arrows between hops from that parentage. This log holds only what no span
+// carries — the points where the cluster itself changed — so the exported view
+// shows each dip next to the fault or transition that caused it.
 //
 // This layer deliberately knows nothing about src/net types (net links obs, not
-// the reverse): nodes are raw int32 ids, message types raw uint32s.
+// the reverse).
 
 #ifndef SRC_OBS_EVENTS_H_
 #define SRC_OBS_EVENTS_H_
@@ -22,56 +21,30 @@
 
 namespace sns {
 
-// One step in a SAN message's life. Send/Deliver pairs share a seq; a Drop
-// terminates the message's timeline instead of a Deliver.
-struct SanEvent {
-  enum class Kind { kSend, kDeliver, kDrop };
-
-  Kind kind = Kind::kSend;
-  uint64_t seq = 0;  // Correlates the send with its deliver/drop.
-  SimTime at = 0;
-  int32_t src_node = -1;
-  int32_t dst_node = -1;
-  uint32_t msg_type = 0;
-  int64_t size_bytes = 0;
-  uint64_t trace_id = 0;  // The request trace the message was stamped with.
-  uint64_t span_id = 0;
-  std::string detail;  // Drop reason ("unreachable", "saturated", ...), else empty.
-};
-
 // A fault the injector applied (process crash, node outage, partition, beacon
-// loss), as a point on the timeline.
+// loss), or a control-plane transition, as a point on the timeline.
 struct FaultInstant {
   SimTime at = 0;
   std::string what;  // e.g. "crash pid 7", "partition group 1 (2 nodes)".
 };
 
-// Bounded FIFO store for both event classes. Long experiments keep the tail;
-// exports stay bounded.
+// Bounded FIFO store of instants. Long experiments keep the tail; exports stay
+// bounded.
 class EventLog {
  public:
-  explicit EventLog(size_t max_messages = 65536, size_t max_faults = 4096)
-      : max_messages_(max_messages), max_faults_(max_faults) {}
-
-  // Allocates the next message sequence number (the SAN stamps one per traced send).
-  uint64_t NextSeq() { return next_seq_++; }
-
-  void RecordMessage(SanEvent ev);
   void RecordFault(FaultInstant ev);
 
-  const std::deque<SanEvent>& messages() const { return messages_; }
   const std::deque<FaultInstant>& faults() const { return faults_; }
-  // Total events ever recorded (including those evicted from the ring).
-  int64_t messages_recorded() const { return messages_recorded_; }
+  // Always 0: the SAN records no per-message events (spans carry causality).
+  // Kept only because perfbench reports it as obs.san_events_recorded.
+  int64_t messages_recorded() const { return 0; }
+  // Total instants ever recorded (including those evicted from the ring).
   int64_t faults_recorded() const { return faults_recorded_; }
 
  private:
-  size_t max_messages_;
-  size_t max_faults_;
-  uint64_t next_seq_ = 1;
-  int64_t messages_recorded_ = 0;
+  static constexpr size_t kMaxFaults = 4096;
+
   int64_t faults_recorded_ = 0;
-  std::deque<SanEvent> messages_;
   std::deque<FaultInstant> faults_;
 };
 

@@ -1,8 +1,10 @@
 #include "src/obs/perfetto.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
@@ -12,8 +14,7 @@ namespace sns {
 
 namespace {
 
-// Lanes ("threads") are allocated per (node, component-name) pair as they appear;
-// each node also gets a dedicated "san" lane for message markers.
+// Lanes ("threads") are allocated per (node, component-name) pair as they appear.
 class LaneTable {
  public:
   int Lane(int32_t node, const std::string& component, std::string* metadata) {
@@ -52,8 +53,11 @@ std::string ExportChromeTrace(const TraceCollector& collector, const EventLog* e
   std::string body;
 
   for (uint64_t trace_id : collector.TraceIds()) {
-    for (const SpanRecord& span : collector.Trace(trace_id)) {
+    std::vector<SpanRecord> spans = collector.Trace(trace_id);
+    std::vector<int> span_lanes;
+    for (const SpanRecord& span : spans) {
       int lane = lanes.Lane(span.node, span.component, &metadata);
+      span_lanes.push_back(lane);
       body += StrFormat(
           "{\"ph\":\"X\",\"name\":\"%s\",\"cat\":\"span\",\"pid\":%d,\"tid\":%d,"
           "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"trace_id\":%llu,\"span_id\":%llu,"
@@ -63,58 +67,36 @@ std::string ExportChromeTrace(const TraceCollector& collector, const EventLog* e
           static_cast<unsigned long long>(span.span_id),
           static_cast<unsigned long long>(span.parent_span_id), JsonEscape(span.outcome).c_str());
     }
+    // One arrow per hop that crosses lanes: from the parent's slice (at the
+    // child's start, clamped into the parent) to the child's slice. Both ends are
+    // retained spans, so every arrow is whole; the child's span id is unique
+    // across the run and names the flow.
+    for (size_t i = 0; i < spans.size(); ++i) {
+      const SpanRecord& child = spans[i];
+      auto parent = std::find_if(spans.begin(), spans.end(), [&child](const SpanRecord& s) {
+        return s.span_id == child.parent_span_id;
+      });
+      if (parent == spans.end() ||
+          (parent->node == child.node && parent->component == child.component)) {
+        continue;
+      }
+      int parent_lane = span_lanes[static_cast<size_t>(parent - spans.begin())];
+      SimTime from = std::clamp(child.start, parent->start, parent->end);
+      std::string name = JsonEscape(child.operation);
+      body += StrFormat(
+          "{\"ph\":\"s\",\"name\":\"%s\",\"cat\":\"flow\",\"id\":%llu,\"pid\":%d,"
+          "\"tid\":%d,\"ts\":%.3f},",
+          name.c_str(), static_cast<unsigned long long>(child.span_id), parent->node,
+          parent_lane, ToMicros(from));
+      body += StrFormat(
+          "{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"%s\",\"cat\":\"flow\",\"id\":%llu,"
+          "\"pid\":%d,\"tid\":%d,\"ts\":%.3f},",
+          name.c_str(), static_cast<unsigned long long>(child.span_id), child.node,
+          span_lanes[i], ToMicros(child.start));
+    }
   }
 
   if (events != nullptr) {
-    for (const SanEvent& ev : events->messages()) {
-      // Marker slices anchor the flow arrows; 1 µs of nominal width keeps them
-      // clickable without implying real duration.
-      switch (ev.kind) {
-        case SanEvent::Kind::kSend: {
-          int lane = lanes.Lane(ev.src_node, "san", &metadata);
-          body += StrFormat(
-              "{\"ph\":\"X\",\"name\":\"send msg.%u\",\"cat\":\"san\",\"pid\":%d,\"tid\":%d,"
-              "\"ts\":%.3f,\"dur\":1,\"args\":{\"seq\":%llu,\"trace_id\":%llu,\"bytes\":%lld}},",
-              ev.msg_type, ev.src_node, lane, ToMicros(ev.at),
-              static_cast<unsigned long long>(ev.seq),
-              static_cast<unsigned long long>(ev.trace_id), static_cast<long long>(ev.size_bytes));
-          body += StrFormat(
-              "{\"ph\":\"s\",\"name\":\"msg\",\"cat\":\"san\",\"id\":%llu,\"pid\":%d,"
-              "\"tid\":%d,\"ts\":%.3f},",
-              static_cast<unsigned long long>(ev.seq), ev.src_node, lane, ToMicros(ev.at));
-          break;
-        }
-        case SanEvent::Kind::kDeliver: {
-          int lane = lanes.Lane(ev.dst_node, "san", &metadata);
-          body += StrFormat(
-              "{\"ph\":\"X\",\"name\":\"recv msg.%u\",\"cat\":\"san\",\"pid\":%d,\"tid\":%d,"
-              "\"ts\":%.3f,\"dur\":1,\"args\":{\"seq\":%llu,\"trace_id\":%llu}},",
-              ev.msg_type, ev.dst_node, lane, ToMicros(ev.at),
-              static_cast<unsigned long long>(ev.seq),
-              static_cast<unsigned long long>(ev.trace_id));
-          body += StrFormat(
-              "{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"msg\",\"cat\":\"san\",\"id\":%llu,"
-              "\"pid\":%d,\"tid\":%d,\"ts\":%.3f},",
-              static_cast<unsigned long long>(ev.seq), ev.dst_node, lane, ToMicros(ev.at));
-          break;
-        }
-        case SanEvent::Kind::kDrop: {
-          int32_t node = ev.dst_node >= 0 ? ev.dst_node : ev.src_node;
-          int lane = lanes.Lane(node, "san", &metadata);
-          body += StrFormat(
-              "{\"ph\":\"X\",\"name\":\"drop msg.%u (%s)\",\"cat\":\"san\",\"pid\":%d,"
-              "\"tid\":%d,\"ts\":%.3f,\"dur\":1,\"args\":{\"seq\":%llu,\"trace_id\":%llu}},",
-              ev.msg_type, JsonEscape(ev.detail).c_str(), node, lane, ToMicros(ev.at),
-              static_cast<unsigned long long>(ev.seq),
-              static_cast<unsigned long long>(ev.trace_id));
-          body += StrFormat(
-              "{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"msg\",\"cat\":\"san\",\"id\":%llu,"
-              "\"pid\":%d,\"tid\":%d,\"ts\":%.3f},",
-              static_cast<unsigned long long>(ev.seq), node, lane, ToMicros(ev.at));
-          break;
-        }
-      }
-    }
     for (const FaultInstant& fault : events->faults()) {
       body += StrFormat(
           "{\"ph\":\"i\",\"s\":\"g\",\"name\":\"%s\",\"cat\":\"fault\",\"pid\":0,\"tid\":0,"

@@ -17,8 +17,6 @@ Rng* RequestContext::rng() { return &fe_->rng_; }
 
 void RequestContext::GetProfile(ProfileCb cb) { fe_->DoGetProfile(this, std::move(cb)); }
 
-void RequestContext::PutProfile(const UserProfile& profile) { fe_->DoPutProfile(profile); }
-
 void RequestContext::PutProfile(const UserProfile& profile, PutCb cb) {
   fe_->DoPutProfile(this, profile, std::move(cb));
 }

@@ -67,7 +67,6 @@ class RequestContext {
 
   // Profile database access with the FE's write-through cache (§3.1.4).
   void GetProfile(ProfileCb cb);
-  void PutProfile(const UserProfile& profile);
   // Acknowledged write (DESIGN.md §14): `cb` fires with Ok only after the DB
   // commits and acks — the local cache is updated then, not before. With
   // config_.profile_write_acks off this degrades to the legacy fire-and-forget

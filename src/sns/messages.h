@@ -22,7 +22,6 @@ namespace sns {
 
 // Well-known multicast groups.
 constexpr McastGroup kGroupManagerBeacon = 1;  // Manager -> stubs & workers & monitor.
-constexpr McastGroup kGroupMonitor = 2;        // Components -> monitor(s).
 
 // Message type discriminators (Message::type).
 enum SnsMsgType : uint32_t {
@@ -42,7 +41,6 @@ enum SnsMsgType : uint32_t {
   kMsgProfileReply,
   kMsgFetchRequest,
   kMsgFetchResponse,
-  kMsgMonitorReport,
   kMsgProfilePutAck,
 };
 
@@ -272,15 +270,6 @@ struct FetchResponsePayload : Payload {
   uint64_t op_id = 0;
   Status status;
   ContentPtr content;
-};
-
-// --- Monitor -------------------------------------------------------------------------------
-
-struct MonitorReportPayload : Payload {
-  ComponentKind kind = ComponentKind::kWorker;
-  std::string name;
-  Endpoint component;
-  std::map<std::string, double> metrics;
 };
 
 // Approximate wire sizes (bytes) used to drive SAN serialization delays.

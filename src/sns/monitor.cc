@@ -15,59 +15,43 @@ MonitorProcess::MonitorProcess(const SnsConfig& config, ComponentLauncher* launc
 
 void MonitorProcess::OnStart() {
   beacons_observed_ = metrics()->GetCounter("monitor.beacons_observed");
-  reports_observed_ = metrics()->GetCounter("monitor.reports_observed");
   manager_restarts_ = metrics()->GetCounter("monitor.manager_restarts");
   stale_beacons_fenced_ = metrics()->GetCounter("monitor.stale_beacons_fenced");
   JoinGroup(kGroupManagerBeacon);
-  JoinGroup(kGroupMonitor);
   Every(config_.monitor_report_period, config_.monitor_report_period, [this] { Sweep(); });
 }
 
 void MonitorProcess::OnMessage(const Message& msg) {
+  if (msg.type != kMsgManagerBeacon) {
+    return;
+  }
   SimTime now = sim()->now();
-  switch (msg.type) {
-    case kMsgManagerBeacon: {
-      const auto& beacon = static_cast<const ManagerBeaconPayload&>(*msg.payload);
-      if (follower_.Follow(beacon) == ManagerFollower::Verdict::kStale) {
-        stale_beacons_fenced_->Increment();
-        break;  // A superseded incarnation must not refresh liveness or views.
-      }
-      beacons_observed_->Increment();
-      last_beacon_at_ = now;
-      ComponentView manager_view;
-      manager_view.kind = ComponentKind::kManager;
-      manager_view.label = "manager";
-      manager_view.metrics["workers"] = static_cast<double>(beacon.workers.size());
-      manager_view.metrics["caches"] = static_cast<double>(beacon.cache_nodes.size());
-      components_.Refresh(beacon.manager, std::move(manager_view), now);
-      // The beacon carries every worker's load: fold them into the registry too.
-      for (const WorkerHint& hint : beacon.workers) {
-        ComponentView view;
-        view.kind = ComponentKind::kWorker;
-        view.label = hint.worker_type;
-        view.metrics["queue"] = hint.smoothed_queue;
-        components_.Refresh(hint.endpoint, std::move(view), now);
-      }
-      for (const Endpoint& cache : beacon.cache_nodes) {
-        ComponentView view;
-        view.kind = ComponentKind::kCacheNode;
-        view.label = "cache";
-        components_.Refresh(cache, std::move(view), now);
-      }
-      break;
-    }
-    case kMsgMonitorReport: {
-      reports_observed_->Increment();
-      const auto& report = static_cast<const MonitorReportPayload&>(*msg.payload);
-      ComponentView view;
-      view.kind = report.kind;
-      view.label = report.name;
-      view.metrics = report.metrics;
-      components_.Refresh(report.component, std::move(view), now);
-      break;
-    }
-    default:
-      break;
+  const auto& beacon = static_cast<const ManagerBeaconPayload&>(*msg.payload);
+  if (follower_.Follow(beacon) == ManagerFollower::Verdict::kStale) {
+    stale_beacons_fenced_->Increment();
+    return;  // A superseded incarnation must not refresh liveness or views.
+  }
+  beacons_observed_->Increment();
+  last_beacon_at_ = now;
+  ComponentView manager_view;
+  manager_view.kind = ComponentKind::kManager;
+  manager_view.label = "manager";
+  manager_view.metrics["workers"] = static_cast<double>(beacon.workers.size());
+  manager_view.metrics["caches"] = static_cast<double>(beacon.cache_nodes.size());
+  components_.Refresh(beacon.manager, std::move(manager_view), now);
+  // The beacon carries every worker's load: fold them into the registry too.
+  for (const WorkerHint& hint : beacon.workers) {
+    ComponentView view;
+    view.kind = ComponentKind::kWorker;
+    view.label = hint.worker_type;
+    view.metrics["queue"] = hint.smoothed_queue;
+    components_.Refresh(hint.endpoint, std::move(view), now);
+  }
+  for (const Endpoint& cache : beacon.cache_nodes) {
+    ComponentView view;
+    view.kind = ComponentKind::kCacheNode;
+    view.label = "cache";
+    components_.Refresh(cache, std::move(view), now);
   }
 }
 

@@ -6,10 +6,12 @@
 // operator if a serious error occurs, for example, if it stops receiving reports
 // from some component."
 //
-// This implementation subscribes to the beacon and monitor multicast groups, keeps
-// a soft-state registry of components, raises operator alarms (a callback standing
-// in for pager/email) when a component goes silent, and renders a textual snapshot
-// — the "visualization panel" — showing per-component state and queue depths.
+// This implementation subscribes to the manager's beacon group (each beacon
+// carries every worker's load and every cache node, so the beacon is the report
+// channel), keeps a soft-state registry of components, raises operator alarms (a
+// callback standing in for pager/email) when a component goes silent, and renders
+// a textual snapshot — the "visualization panel" — showing per-component state
+// and queue depths.
 
 #ifndef SRC_SNS_MONITOR_H_
 #define SRC_SNS_MONITOR_H_
@@ -55,7 +57,6 @@ class MonitorProcess : public Process {
   const std::vector<MonitorAlarm>& alarms() const { return alarms_; }
   size_t LiveComponentCount() const;
   int64_t beacons_observed() const { return CounterOr0(beacons_observed_); }
-  int64_t reports_observed() const { return CounterOr0(reports_observed_); }
   int64_t manager_restarts_triggered() const { return CounterOr0(manager_restarts_); }
   int64_t stale_beacons_fenced() const { return CounterOr0(stale_beacons_fenced_); }
 
@@ -89,7 +90,6 @@ class MonitorProcess : public Process {
   ManagerFollower follower_;
   // Registry instruments under "monitor.*", bound in OnStart.
   Counter* beacons_observed_ = nullptr;
-  Counter* reports_observed_ = nullptr;
   Counter* manager_restarts_ = nullptr;
   Counter* stale_beacons_fenced_ = nullptr;
 };

@@ -14,7 +14,6 @@ SnsSystem::SnsSystem(const SnsConfig& config, const SystemTopology& topology)
       san_(&sim_, topology.san),
       cluster_(&sim_, &san_),
       profile_reservation_(/*enforce=*/config.stonith_fencing) {
-  san_.set_event_log(&event_log_);
   san_.BindMetrics(cluster_.metrics());
   quorum_disk_ = std::make_unique<QuorumDisk>(&quorum_disk_store_, config_.quorum_disk_lease);
   membership_ = std::make_unique<MembershipService>(&san_, quorum_disk_.get());
@@ -74,9 +73,7 @@ void SnsSystem::Start() {
   for (int i = 0; i < topology_.cache_nodes; ++i) {
     cache_nodes_.push_back(cluster_.AddNode(infra));
   }
-  if (topology_.with_profile_db) {
-    profile_db_node_ = cluster_.AddNode(infra);
-  }
+  profile_db_node_ = cluster_.AddNode(infra);
   if (topology_.with_origin) {
     NodeConfig origin = infra;
     origin.link = topology_.origin_link;
@@ -100,9 +97,7 @@ void SnsSystem::Start() {
     membership_->SetVotes(manager_node_, config_.infra_node_votes);
     for (NodeId node : fe_nodes_) membership_->SetVotes(node, config_.infra_node_votes);
     for (NodeId node : cache_nodes_) membership_->SetVotes(node, config_.infra_node_votes);
-    if (topology_.with_profile_db) {
-      membership_->SetVotes(profile_db_node_, config_.infra_node_votes);
-    }
+    membership_->SetVotes(profile_db_node_, config_.infra_node_votes);
     if (topology_.with_origin) {
       membership_->SetVotes(origin_node_, config_.infra_node_votes);
     }
@@ -132,13 +127,8 @@ void SnsSystem::Start() {
         cache_nodes_[static_cast<size_t>(i)],
         std::make_unique<CacheNodeProcess>(config_, topology_.cache)));
   }
-  if (topology_.with_profile_db) {
-    RelaunchProfileDb();
-  }
-  if (topology_.with_monitor) {
-    monitor_pid_ =
-        cluster_.Spawn(manager_node_, std::make_unique<MonitorProcess>(config_, this));
-  }
+  RelaunchProfileDb();
+  monitor_pid_ = cluster_.Spawn(manager_node_, std::make_unique<MonitorProcess>(config_, this));
   // The origin must exist before any front end so FEs are constructed with a valid
   // gateway endpoint.
   if (topology_.with_origin && origin_factory_) {
@@ -268,9 +258,6 @@ ProcessId SnsSystem::RelaunchFrontEnd(int fe_index, NodeId requester) {
 }
 
 ProcessId SnsSystem::RelaunchProfileDb(NodeId requester) {
-  if (!topology_.with_profile_db) {
-    return kInvalidProcess;
-  }
   Process* incumbent =
       profile_db_pid_ != kInvalidProcess ? cluster_.Find(profile_db_pid_) : nullptr;
   if (incumbent != nullptr && RequesterCanReach(requester, incumbent->node())) {

@@ -50,8 +50,6 @@ struct SystemTopology {
   int overflow_nodes = 0;       // Recruited only under bursts (§2.2.3).
   int front_ends = 1;
   int cache_nodes = 4;          // TranSend ran Harvest workers on four nodes.
-  bool with_profile_db = true;
-  bool with_monitor = true;
   bool with_origin = false;     // A gateway node to the simulated Internet.
 
   // SAN characteristics (switched 100 Mb/s Ethernet by default, §4).
@@ -226,8 +224,8 @@ class SnsSystem : public ComponentLauncher {
 };
 
 // The run-artifact sections of `system` at the current simulated time, under the
-// name `bench` (write them with WriteRunArtifact). Without a monitor
-// (with_monitor=false topologies) the snapshot is the bare metrics registry.
+// name `bench` (write them with WriteRunArtifact). Once the monitor process has
+// crashed the snapshot is the bare metrics registry.
 RunArtifact CollectRunArtifact(SnsSystem* system, const std::string& bench);
 
 }  // namespace sns
