@@ -295,6 +295,18 @@ void BM_InvertedIndexSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_InvertedIndexSearch);
 
+// Index build at perfbench's hotbot_scatter size: 8000 documents over 8 shards.
+void BM_BuildShardedCorpus(benchmark::State& state) {
+  SNS_PROFILE_ZONE("bench.BuildShardedCorpus");
+  CorpusConfig config;
+  config.doc_count = 8000;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BuildShardedCorpus(config, 8));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * config.doc_count);
+}
+BENCHMARK(BM_BuildShardedCorpus)->Unit(benchmark::kMillisecond);
+
 // --- Artifact emission -------------------------------------------------------
 
 // Console reporter that additionally captures each run's items/sec rate so the

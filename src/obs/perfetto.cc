@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -26,11 +27,11 @@ class LaneTable {
     int lane = ++next_lane_per_node_[node];
     lanes_[key] = lane;
     if (seen_nodes_.insert({node, 0}).second) {
-      *metadata += StrFormat(
+      StrAppendFormat(metadata,
           "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":%d,\"args\":{\"name\":\"node %d\"}},",
           node, node);
     }
-    *metadata += StrFormat(
+    StrAppendFormat(metadata,
         "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":%d,\"tid\":%d,"
         "\"args\":{\"name\":\"%s\"}},",
         node, lane, JsonEscape(component).c_str());
@@ -52,13 +53,18 @@ std::string ExportChromeTrace(const TraceCollector& collector, const EventLog* e
   std::string metadata;
   std::string body;
 
+  std::vector<int> span_lanes;
+  std::unordered_map<uint64_t, size_t> index_of_span;
   for (uint64_t trace_id : collector.TraceIds()) {
-    std::vector<SpanRecord> spans = collector.Trace(trace_id);
-    std::vector<int> span_lanes;
-    for (const SpanRecord& span : spans) {
+    std::vector<const SpanRecord*> spans = collector.SortedSpans(trace_id);
+    span_lanes.clear();
+    index_of_span.clear();
+    for (size_t i = 0; i < spans.size(); ++i) {
+      const SpanRecord& span = *spans[i];
       int lane = lanes.Lane(span.node, span.component, &metadata);
       span_lanes.push_back(lane);
-      body += StrFormat(
+      index_of_span.try_emplace(span.span_id, i);  // The first in order wins.
+      StrAppendFormat(&body,
           "{\"ph\":\"X\",\"name\":\"%s\",\"cat\":\"span\",\"pid\":%d,\"tid\":%d,"
           "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"trace_id\":%llu,\"span_id\":%llu,"
           "\"parent_span_id\":%llu,\"outcome\":\"%s\"}},",
@@ -72,23 +78,23 @@ std::string ExportChromeTrace(const TraceCollector& collector, const EventLog* e
     // retained spans, so every arrow is whole; the child's span id is unique
     // across the run and names the flow.
     for (size_t i = 0; i < spans.size(); ++i) {
-      const SpanRecord& child = spans[i];
-      auto parent = std::find_if(spans.begin(), spans.end(), [&child](const SpanRecord& s) {
-        return s.span_id == child.parent_span_id;
-      });
-      if (parent == spans.end() ||
-          (parent->node == child.node && parent->component == child.component)) {
+      const SpanRecord& child = *spans[i];
+      auto found = index_of_span.find(child.parent_span_id);
+      if (found == index_of_span.end()) {
         continue;
       }
-      int parent_lane = span_lanes[static_cast<size_t>(parent - spans.begin())];
-      SimTime from = std::clamp(child.start, parent->start, parent->end);
+      const SpanRecord& parent = *spans[found->second];
+      if (parent.node == child.node && parent.component == child.component) {
+        continue;
+      }
+      SimTime from = std::clamp(child.start, parent.start, parent.end);
       std::string name = JsonEscape(child.operation);
-      body += StrFormat(
+      StrAppendFormat(&body,
           "{\"ph\":\"s\",\"name\":\"%s\",\"cat\":\"flow\",\"id\":%llu,\"pid\":%d,"
           "\"tid\":%d,\"ts\":%.3f},",
-          name.c_str(), static_cast<unsigned long long>(child.span_id), parent->node,
-          parent_lane, ToMicros(from));
-      body += StrFormat(
+          name.c_str(), static_cast<unsigned long long>(child.span_id), parent.node,
+          span_lanes[found->second], ToMicros(from));
+      StrAppendFormat(&body,
           "{\"ph\":\"f\",\"bp\":\"e\",\"name\":\"%s\",\"cat\":\"flow\",\"id\":%llu,"
           "\"pid\":%d,\"tid\":%d,\"ts\":%.3f},",
           name.c_str(), static_cast<unsigned long long>(child.span_id), child.node,
@@ -98,7 +104,7 @@ std::string ExportChromeTrace(const TraceCollector& collector, const EventLog* e
 
   if (events != nullptr) {
     for (const FaultInstant& fault : events->faults()) {
-      body += StrFormat(
+      StrAppendFormat(&body,
           "{\"ph\":\"i\",\"s\":\"g\",\"name\":\"%s\",\"cat\":\"fault\",\"pid\":0,\"tid\":0,"
           "\"ts\":%.3f},",
           JsonEscape(fault.what).c_str(), ToMicros(fault.at));

@@ -52,14 +52,26 @@ void TraceCollector::Record(SpanRecord span) {
 }
 
 std::vector<SpanRecord> TraceCollector::Trace(uint64_t trace_id) const {
+  std::vector<SpanRecord> spans;
+  for (const SpanRecord* span : SortedSpans(trace_id)) {
+    spans.push_back(*span);
+  }
+  return spans;
+}
+
+std::vector<const SpanRecord*> TraceCollector::SortedSpans(uint64_t trace_id) const {
   auto it = spans_by_trace_.find(trace_id);
   if (it == spans_by_trace_.end()) {
     return {};
   }
-  std::vector<SpanRecord> spans = it->second;
-  std::sort(spans.begin(), spans.end(), [](const SpanRecord& a, const SpanRecord& b) {
-    if (a.start != b.start) return a.start < b.start;
-    return a.span_id < b.span_id;
+  std::vector<const SpanRecord*> spans;
+  spans.reserve(it->second.size());
+  for (const SpanRecord& span : it->second) {
+    spans.push_back(&span);
+  }
+  std::sort(spans.begin(), spans.end(), [](const SpanRecord* a, const SpanRecord* b) {
+    if (a->start != b->start) return a->start < b->start;
+    return a->span_id < b->span_id;
   });
   return spans;
 }
@@ -84,10 +96,10 @@ std::string TraceCollector::TraceToJson(uint64_t trace_id) const {
   std::string out = StrFormat("{\"trace_id\":%llu,\"spans\":[",
                               static_cast<unsigned long long>(trace_id));
   bool first = true;
-  for (const SpanRecord& span : Trace(trace_id)) {
+  for (const SpanRecord* span : SortedSpans(trace_id)) {
     if (!first) out += ",";
     first = false;
-    out += span.ToJson();
+    out += span->ToJson();
   }
   out += "]}";
   return out;

@@ -67,6 +67,10 @@ class TraceCollector {
   // All spans of one trace, ordered by (start, span_id). Empty if unknown/evicted.
   std::vector<SpanRecord> Trace(uint64_t trace_id) const;
 
+  // The same spans in the same order, by pointer instead of by copy. The pointers
+  // stay valid until the next Record().
+  std::vector<const SpanRecord*> SortedSpans(uint64_t trace_id) const;
+
   // Trace ids currently retained, oldest first.
   std::vector<uint64_t> TraceIds() const;
 

@@ -1,5 +1,6 @@
 #include "src/util/rng.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -119,50 +120,7 @@ double Rng::BoundedPareto(double alpha, double lo, double hi) {
   return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
 }
 
-int64_t Rng::Zipf(int64_t n, double s) {
-  assert(n > 0);
-  if (n == 1) {
-    return 0;
-  }
-  if (s <= 0.0) {
-    return UniformInt(0, n - 1);
-  }
-  // Inverse-CDF approximation of the continuous Zipf envelope with rejection.
-  // For s != 1: H(x) = (x^(1-s) - 1) / (1 - s).
-  double one_minus_s = 1.0 - s;
-  auto h = [&](double x) {
-    if (std::abs(one_minus_s) < 1e-9) {
-      return std::log(x);
-    }
-    return (std::pow(x, one_minus_s) - 1.0) / one_minus_s;
-  };
-  auto h_inv = [&](double y) {
-    if (std::abs(one_minus_s) < 1e-9) {
-      return std::exp(y);
-    }
-    return std::pow(1.0 + y * one_minus_s, 1.0 / one_minus_s);
-  };
-  double hn = h(static_cast<double>(n) + 0.5);
-  double h1 = h(1.5) - 1.0;
-  for (;;) {
-    double u = h1 + NextDouble() * (hn - h1);
-    double x = h_inv(u);
-    int64_t k = static_cast<int64_t>(x + 0.5);
-    if (k < 1) {
-      k = 1;
-    }
-    if (k > n) {
-      k = n;
-    }
-    double ratio = std::pow(static_cast<double>(k), -s) /
-                   std::pow(static_cast<double>(k) + 0.5, -s) * 0.5;
-    // Accept with probability proportional to the true mass vs envelope; the simple
-    // acceptance below is adequate for workload synthesis (bias < 2% for s <= 2).
-    if (NextDouble() < std::min(1.0, ratio)) {
-      return k - 1;
-    }
-  }
-}
+int64_t Rng::Zipf(int64_t n, double s) { return ZipfDistribution(n, s).Sample(this); }
 
 size_t Rng::WeightedIndex(const std::vector<double>& weights) {
   assert(!weights.empty());
@@ -189,5 +147,57 @@ size_t Rng::WeightedIndex(const std::vector<double>& weights) {
 }
 
 Rng Rng::Fork() { return Rng(Next() ^ 0xD1B54A32D192ED03ULL); }
+
+ZipfDistribution::ZipfDistribution(int64_t n, double s)
+    : n_(n), s_(s), one_minus_s_(1.0 - s), log_branch_(std::abs(1.0 - s) < 1e-9) {
+  assert(n > 0);
+  if (n > 1 && s > 0.0) {
+    hn_ = H(static_cast<double>(n) + 0.5);
+    h1_ = H(1.5) - 1.0;
+  }
+}
+
+// For s != 1: H(x) = (x^(1-s) - 1) / (1 - s).
+double ZipfDistribution::H(double x) const {
+  if (log_branch_) {
+    return std::log(x);
+  }
+  return (std::pow(x, one_minus_s_) - 1.0) / one_minus_s_;
+}
+
+double ZipfDistribution::HInverse(double y) const {
+  if (log_branch_) {
+    return std::exp(y);
+  }
+  return std::pow(1.0 + y * one_minus_s_, 1.0 / one_minus_s_);
+}
+
+int64_t ZipfDistribution::Sample(Rng* rng) const {
+  if (n_ == 1) {
+    return 0;
+  }
+  if (s_ <= 0.0) {
+    return rng->UniformInt(0, n_ - 1);
+  }
+  // Inverse-CDF approximation of the continuous Zipf envelope with rejection.
+  for (;;) {
+    double u = h1_ + rng->NextDouble() * (hn_ - h1_);
+    double x = HInverse(u);
+    int64_t k = static_cast<int64_t>(x + 0.5);
+    if (k < 1) {
+      k = 1;
+    }
+    if (k > n_) {
+      k = n_;
+    }
+    double ratio = std::pow(static_cast<double>(k), -s_) /
+                   std::pow(static_cast<double>(k) + 0.5, -s_) * 0.5;
+    // Accept with probability proportional to the true mass vs envelope; the simple
+    // acceptance below is adequate for workload synthesis (bias < 2% for s <= 2).
+    if (rng->NextDouble() < std::min(1.0, ratio)) {
+      return k - 1;
+    }
+  }
+}
 
 }  // namespace sns

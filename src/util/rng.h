@@ -51,7 +51,8 @@ class Rng {
   double BoundedPareto(double alpha, double lo, double hi);
 
   // Zipf-like rank selection over n items with skew s (s=0 is uniform). Returns a
-  // rank in [0, n). Uses rejection-inversion; O(1) per draw after setup-free math.
+  // rank in [0, n). One draw of ZipfDistribution(n, s); callers that draw many
+  // ranks of the same (n, s) hold a ZipfDistribution instead.
   int64_t Zipf(int64_t n, double s);
 
   // Picks an index in [0, weights.size()) with probability proportional to weight.
@@ -67,6 +68,28 @@ class Rng {
   uint64_t state_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;
+};
+
+// Zipf-like ranks over n items with skew s, by rejection-inversion of the
+// continuous envelope. The constructor computes the per-(n, s) constants once;
+// each Sample is O(1) and consumes the same draws as Rng::Zipf(n, s).
+class ZipfDistribution {
+ public:
+  ZipfDistribution(int64_t n, double s);
+
+  // A rank in [0, n).
+  int64_t Sample(Rng* rng) const;
+
+ private:
+  double H(double x) const;
+  double HInverse(double y) const;
+
+  int64_t n_;
+  double s_;
+  double one_minus_s_;
+  bool log_branch_;  // s == 1: H is log.
+  double hn_ = 0;    // H(n + 0.5).
+  double h1_ = 0;    // H(1.5) - 1.
 };
 
 }  // namespace sns

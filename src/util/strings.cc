@@ -5,20 +5,41 @@
 
 namespace sns {
 
-std::string StrFormat(const char* fmt, ...) {
-  va_list args;
-  va_start(args, fmt);
+namespace {
+
+// Formats into a stack buffer and appends; only output longer than the buffer
+// pays a second vsnprintf pass.
+void AppendFormatV(std::string* out, const char* fmt, va_list args) {
   va_list args_copy;
   va_copy(args_copy, args);
-  int needed = std::vsnprintf(nullptr, 0, fmt, args);
-  va_end(args);
-  std::string out;
-  if (needed > 0) {
-    out.resize(static_cast<size_t>(needed));
-    std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
+  char buffer[512];
+  int needed = std::vsnprintf(buffer, sizeof(buffer), fmt, args);
+  if (needed > 0 && static_cast<size_t>(needed) < sizeof(buffer)) {
+    out->append(buffer, static_cast<size_t>(needed));
+  } else if (needed > 0) {
+    size_t old_size = out->size();
+    out->resize(old_size + static_cast<size_t>(needed));
+    std::vsnprintf(out->data() + old_size, static_cast<size_t>(needed) + 1, fmt, args_copy);
   }
   va_end(args_copy);
+}
+
+}  // namespace
+
+std::string StrFormat(const char* fmt, ...) {
+  std::string out;
+  va_list args;
+  va_start(args, fmt);
+  AppendFormatV(&out, fmt, args);
+  va_end(args);
   return out;
+}
+
+void StrAppendFormat(std::string* out, const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  AppendFormatV(out, fmt, args);
+  va_end(args);
 }
 
 std::string StrJoin(const std::vector<std::string>& parts, const std::string& sep) {

@@ -13,6 +13,10 @@ namespace sns {
 // printf into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+// printf onto the end of `*out`.
+void StrAppendFormat(std::string* out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
 // Joins elements with a separator.
 std::string StrJoin(const std::vector<std::string>& parts, const std::string& sep);
 

@@ -89,6 +89,100 @@ TEST(CorpusTest, DeterministicForSeed) {
   }
 }
 
+// ---------- golden index ------------------------------------------------------------------
+
+// Pins the shards BuildShardedCorpus makes at perfbench's size and the bytes they
+// answer for a fixed query list, so a change to the index layout must keep every
+// search result and every simulated search cost identical.
+//
+// GoldenQueryDigest hashes, for every shard, query and k, the encoded results and
+// the candidate postings. Queries split on ' ' as the shard worker does, so
+// "kw3+kw17" reaches the shard as one (non-vocabulary) term.
+uint64_t GoldenQueryDigest(const std::vector<ShardPtr>& shards) {
+  std::vector<std::string> queries;
+  for (int64_t rank = 0; rank < 10; ++rank) {
+    queries.push_back(VocabularyWord(rank));
+  }
+  queries.insert(queries.end(), {VocabularyWord(4321), "kw1 kw1", "kw0 kw2 kw5", "kw3+kw17",
+                                 "kw007", "kw5000", "apple"});
+  std::string transcript;
+  for (const ShardPtr& shard : shards) {
+    for (const std::string& query : queries) {
+      std::vector<std::string> terms = StrSplit(query, ' ');
+      for (size_t k : {size_t{5}, size_t{50}}) {
+        std::vector<uint8_t> bytes =
+            EncodeSearchResults(shard->shard_id(), shard->doc_count(), shard->Search(terms, k));
+        transcript.append(bytes.begin(), bytes.end());
+        transcript += StrFormat("candidates %lld\n",
+                                static_cast<long long>(shard->CandidatePostings(terms)));
+      }
+    }
+  }
+  return Fnv1a(transcript);
+}
+
+struct ShardCounts {
+  int64_t docs;
+  int64_t terms;
+  int64_t postings;
+};
+
+void ExpectShardCounts(const std::vector<ShardPtr>& shards,
+                       const std::vector<ShardCounts>& expected) {
+  ASSERT_EQ(shards.size(), expected.size());
+  for (size_t i = 0; i < shards.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(shards[i]->doc_count(), expected[i].docs);
+    EXPECT_EQ(shards[i]->term_count(), expected[i].terms);
+    EXPECT_EQ(shards[i]->posting_count(), expected[i].postings);
+  }
+}
+
+TEST(CorpusGoldenTest, EightShardsAtPerfbenchSize) {
+  CorpusConfig config;
+  config.doc_count = 8000;
+  auto shards = BuildShardedCorpus(config, 8);
+  ExpectShardCounts(shards, {{1011, 4773, 68158},
+                             {949, 4731, 64356},
+                             {974, 4749, 65554},
+                             {1063, 4820, 72916},
+                             {999, 4752, 67163},
+                             {979, 4760, 65604},
+                             {1016, 4772, 69365},
+                             {1009, 4753, 68615}});
+  EXPECT_EQ(GoldenQueryDigest(shards), 0x885aeee89d938031ULL);
+}
+
+TEST(CorpusGoldenTest, TwoShardsAtPerfbenchSize) {
+  CorpusConfig config;
+  config.doc_count = 8000;
+  auto shards = BuildShardedCorpus(config, 2);
+  ExpectShardCounts(shards, {{4000, 5000, 270240}, {4000, 4998, 271491}});
+  EXPECT_EQ(GoldenQueryDigest(shards), 0x5b17535a60d67a64ULL);
+}
+
+TEST(CorpusGoldenTest, NonVocabularyTermsMissAndDuplicatesCountTwice) {
+  CorpusConfig config;
+  config.doc_count = 2000;
+  auto shards = BuildShardedCorpus(config, 2);
+  const InvertedIndexShard& shard = *shards[0];
+  for (const char* term : {"kw007", "kw5000", "kw3+kw17", "apple", ""}) {
+    SCOPED_TRACE(term);
+    EXPECT_TRUE(shard.Search({term}, 10).empty());
+    EXPECT_EQ(shard.CandidatePostings({term}), 0);
+  }
+  int64_t once = shard.CandidatePostings({"kw1"});
+  EXPECT_GT(once, 0);
+  EXPECT_EQ(shard.CandidatePostings({"kw1", "kw1"}), 2 * once);
+  std::vector<SearchHit> single = shard.Search({"kw1"}, 3);
+  std::vector<SearchHit> doubled = shard.Search({"kw1", "kw1"}, 3);
+  ASSERT_EQ(single.size(), doubled.size());
+  for (size_t i = 0; i < single.size(); ++i) {
+    EXPECT_EQ(doubled[i].doc_id, single[i].doc_id);
+    EXPECT_EQ(doubled[i].score, 2 * single[i].score);
+  }
+}
+
 // ---------- shard worker & wire format ----------------------------------------------------
 
 TEST(SearchWorkerTest, ProcessReturnsParsableResults) {

@@ -188,5 +188,60 @@ TEST_P(ZipfSweep, RanksMonotoneAndInRange) {
 
 INSTANTIATE_TEST_SUITE_P(Skews, ZipfSweep, ::testing::Values(0.0, 0.5, 0.8, 1.0, 1.3));
 
+// Golden Zipf sequences: the first 1000 draws for fixed (n, s) pairs, pinned as a
+// digest and a sum. Covers the pow branch, the log branch (s = 1), the uniform
+// case (s = 0) and the single-item case, which draws nothing.
+struct ZipfGolden {
+  int64_t n;
+  double s;
+  uint64_t digest;
+  int64_t sum;
+};
+
+class ZipfGoldenTest : public ::testing::TestWithParam<ZipfGolden> {};
+
+constexpr int kGoldenDraws = 1000;
+constexpr uint64_t kGoldenSeed = 0x21FF;
+
+uint64_t FoldDraw(uint64_t hash, int64_t draw) {
+  hash ^= static_cast<uint64_t>(draw);
+  return hash * 0x100000001b3ULL;
+}
+
+// Folds kGoldenDraws draws of `draw` into the pinned digest and sum.
+template <typename Draw>
+void ExpectGoldenSequence(const ZipfGolden& golden, Draw draw) {
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  int64_t sum = 0;
+  for (int i = 0; i < kGoldenDraws; ++i) {
+    int64_t rank = draw();
+    digest = FoldDraw(digest, rank);
+    sum += rank;
+  }
+  EXPECT_EQ(digest, golden.digest);
+  EXPECT_EQ(sum, golden.sum);
+}
+
+TEST_P(ZipfGoldenTest, RngZipfMatchesRecordedSequence) {
+  const ZipfGolden& golden = GetParam();
+  Rng rng(kGoldenSeed);
+  ExpectGoldenSequence(golden, [&] { return rng.Zipf(golden.n, golden.s); });
+}
+
+TEST_P(ZipfGoldenTest, HeldDistributionMatchesRecordedSequence) {
+  const ZipfGolden& golden = GetParam();
+  Rng rng(kGoldenSeed);
+  const ZipfDistribution zipf(golden.n, golden.s);
+  ExpectGoldenSequence(golden, [&] { return zipf.Sample(&rng); });
+}
+
+INSTANTIATE_TEST_SUITE_P(Recorded, ZipfGoldenTest,
+                         ::testing::Values(ZipfGolden{5000, 1.05, 0xae7ebd2ba22ad066ULL, 420303},
+                                           ZipfGolden{4000, 0.9, 0xc85739c352e35de5ULL, 569606},
+                                           ZipfGolden{512, 0.7, 0x5b4810d4aef1ac5cULL, 129603},
+                                           ZipfGolden{64, 1.0, 0x8c19dfa52b5f4a4dULL, 10706},
+                                           ZipfGolden{10, 0.0, 0x3af3d2d37ef00b52ULL, 4459},
+                                           ZipfGolden{1, 1.2, 0x12633b178b17a745ULL, 0}));
+
 }  // namespace
 }  // namespace sns
