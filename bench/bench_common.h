@@ -50,6 +50,29 @@ inline bool DumpBenchArtifact(SnsSystem* system, const std::string& bench_name) 
   return ok;
 }
 
+// Claim checking for benches that assert the paper's claims: each Check prints one
+// PASS/FAIL line, and ClaimsExitCode prints the verdict and returns main's exit code.
+inline int& ClaimFailures() {
+  static int failures = 0;
+  return failures;
+}
+
+inline void Check(bool ok, const std::string& what) {
+  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what.c_str());
+  if (!ok) {
+    ++ClaimFailures();
+  }
+}
+
+inline int ClaimsExitCode() {
+  if (ClaimFailures() > 0) {
+    std::printf("\n%d claim(s) FAILED\n", ClaimFailures());
+    return 1;
+  }
+  std::printf("\nAll claims PASS\n");
+  return 0;
+}
+
 // Acceptance check for the critical-path decomposition: for every retained
 // completed request, the per-stage sums must equal the end-to-end latency within
 // `tolerance` (default 1%). Returns the number of requests checked, or -1 on any

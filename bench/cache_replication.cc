@@ -28,14 +28,7 @@
 namespace sns {
 namespace {
 
-int failures = 0;
-
-void Check(bool ok, const std::string& what) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what.c_str());
-  if (!ok) {
-    ++failures;
-  }
-}
+using benchutil::Check;
 
 constexpr double kRate = 20.0;           // Steady offered load (req/s).
 constexpr double kRebalanceBps = 256.0 * 1024;  // Tight cap: window is visible.
@@ -296,10 +289,5 @@ int main(int argc, char** argv) {
     }
   }
   sns::Run(short_mode);
-  if (sns::failures > 0) {
-    std::printf("\n%d claim(s) FAILED\n", sns::failures);
-    return 1;
-  }
-  std::printf("\nAll claims PASS\n");
-  return 0;
+  return sns::benchutil::ClaimsExitCode();
 }

@@ -33,14 +33,7 @@
 namespace sns {
 namespace {
 
-int failures = 0;
-
-void Check(bool ok, const std::string& what) {
-  std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what.c_str());
-  if (!ok) {
-    ++failures;
-  }
-}
+using benchutil::Check;
 
 struct RunResult {
   double goodput = 0;       // On-time OK completions per second over the window.
@@ -248,10 +241,5 @@ int main(int argc, char** argv) {
     }
   }
   sns::Run(short_mode);
-  if (sns::failures > 0) {
-    std::printf("\n%d claim(s) FAILED\n", sns::failures);
-    return 1;
-  }
-  std::printf("\nAll claims PASS\n");
-  return 0;
+  return sns::benchutil::ClaimsExitCode();
 }

@@ -32,8 +32,7 @@ class CacheProbe : public Process {
     // Seed one entry, then probe it repeatedly.
     auto put = std::make_shared<CachePutPayload>();
     put->key = "probe-object";
-    std::vector<uint8_t> body(10240, 0x42);
-    put->content = Content::Make("probe", MimeType::kJpeg, std::move(body));
+    put->content = Content::Opaque("probe", MimeType::kJpeg, 10240);
     Message msg;
     msg.dst = cache_;
     msg.type = kMsgCachePut;

@@ -71,7 +71,11 @@ void Run() {
                 "  saturates.\n",
                 per_second / cpu);
   }
-  benchutil::DumpBenchArtifact(service.system(), "sec46_manager_capacity");
+  // The bench traces no request, so it writes the run artifact and no timeline.
+  if (WriteRunArtifact("BENCH_sec46_manager_capacity.json",
+                       CollectRunArtifact(service.system(), "sec46_manager_capacity"))) {
+    std::printf("\nartifact: BENCH_sec46_manager_capacity.json\n");
+  }
 }
 
 }  // namespace

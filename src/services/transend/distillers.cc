@@ -15,21 +15,9 @@ namespace {
 
 constexpr int64_t kMinDistilledBytes = 160;
 
-// Opaque content transform: produce undecodable bytes of the modeled size.
+// Opaque content transform: the modeled output size, no bytes.
 ContentPtr OpaqueOutput(const TaccRequest& request, MimeType mime, int64_t out_size) {
-  std::vector<uint8_t> bytes(static_cast<size_t>(std::max(out_size, kMinDistilledBytes)));
-  uint64_t h = Fnv1a(request.url) * 0x9E3779B97F4A7C15ULL;
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    h ^= h >> 12;
-    h ^= h << 25;
-    h ^= h >> 27;
-    bytes[i] = static_cast<uint8_t>(h * 0x2545F4914F6CDD1DULL >> 56);
-  }
-  if (bytes.size() >= 2) {
-    bytes[0] = 'X';
-    bytes[1] = 'X';
-  }
-  return Content::Make(request.url, mime, std::move(bytes));
+  return Content::Opaque(request.url, mime, std::max(out_size, kMinDistilledBytes));
 }
 
 SimDuration NoisyCost(SimDuration fixed, SimDuration per_kb, int64_t bytes, double sigma,

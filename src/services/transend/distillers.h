@@ -10,8 +10,10 @@
 //     adds [original] links next to distilled images, and prepends the preferences
 //     toolbar.
 //
-// Each distiller transforms real bytes when the input is decodable (SGIF/SJPG/HTML)
-// and falls back to a calibrated size-reduction model for opaque benchmark content.
+// Each distiller transforms real bytes when the input is decodable (SGIF/SJPG/HTML).
+// Opaque benchmark content (Content::Opaque: a size, no bytes) takes a calibrated
+// size-reduction model instead, and its output is opaque too: the modeled size, at
+// least 160 bytes, and no bytes.
 // Simulated CPU cost follows Fig. 7: roughly linear in input size (the GIF distiller
 // measured ~8 ms/KB), with item-to-item variance.
 

@@ -37,16 +37,6 @@ void PadTo(std::vector<uint8_t>* bytes, int64_t target, Rng* rng) {
 
 }  // namespace
 
-bool IsRealImage(MimeType mime, const std::vector<uint8_t>& bytes) {
-  if (mime == MimeType::kGif) {
-    return IsGif(bytes);
-  }
-  if (mime == MimeType::kJpeg) {
-    return IsJpeg(bytes);
-  }
-  return false;
-}
-
 ContentUniverseConfig FixedJpegUniverse(int64_t url_count) {
   ContentUniverseConfig config;
   config.url_count = url_count;
@@ -104,7 +94,6 @@ ContentPtr ContentUniverse::GetContent(const std::string& url) {
     return it->second;
   }
   ContentPtr content = Generate(url, TraitsOf(url));
-  generated_bytes_ += content->size();
   cache_[url] = content;
   return content;
 }
@@ -148,39 +137,25 @@ ContentPtr ContentUniverse::Generate(const std::string& url, const UrlTraits& tr
     }
     case MimeType::kGif:
     case MimeType::kJpeg: {
-      bool real = traits.size <= config_.real_image_max_bytes;
-      if (real) {
-        // Choose dimensions so the encoded size lands near the target, then pad.
-        bool jpeg = traits.mime == MimeType::kJpeg;
-        bool icon = !jpeg && traits.size < 1024;
-        double bpp = jpeg ? 0.18 : (icon ? 0.14 : 0.75);
-        double pixels = std::max(64.0, static_cast<double>(traits.size) / bpp);
-        int width = std::clamp(static_cast<int>(std::sqrt(pixels * 4.0 / 3.0)), 8, 1024);
-        int height = std::clamp(static_cast<int>(pixels / width), 8, 1024);
-        RasterImage img = icon ? SynthesizeIcon(&rng, width, height)
-                               : SynthesizePhoto(&rng, width, height);
-        bytes = jpeg ? JpegEncode(img, 85) : GifEncode(img, icon ? 32 : 128);
-        PadTo(&bytes, traits.size, &rng);
-      } else {
-        // Opaque image: correct size, undecodable (no codec magic).
-        bytes.resize(static_cast<size_t>(traits.size));
-        for (auto& b : bytes) {
-          b = static_cast<uint8_t>(rng.UniformInt(0, 255));
-        }
-        if (bytes.size() >= 2) {
-          bytes[0] = 'X';  // Ensure the magic check fails.
-          bytes[1] = 'X';
-        }
+      if (traits.size > config_.real_image_max_bytes) {
+        // Opaque image: the modeled size, no bytes (no codec reads them).
+        return Content::Opaque(url, traits.mime, traits.size);
       }
+      // Choose dimensions so the encoded size lands near the target, then pad.
+      bool jpeg = traits.mime == MimeType::kJpeg;
+      bool icon = !jpeg && traits.size < 1024;
+      double bpp = jpeg ? 0.18 : (icon ? 0.14 : 0.75);
+      double pixels = std::max(64.0, static_cast<double>(traits.size) / bpp);
+      int width = std::clamp(static_cast<int>(std::sqrt(pixels * 4.0 / 3.0)), 8, 1024);
+      int height = std::clamp(static_cast<int>(pixels / width), 8, 1024);
+      RasterImage img =
+          icon ? SynthesizeIcon(&rng, width, height) : SynthesizePhoto(&rng, width, height);
+      bytes = jpeg ? JpegEncode(img, 85) : GifEncode(img, icon ? 32 : 128);
+      PadTo(&bytes, traits.size, &rng);
       break;
     }
-    case MimeType::kOther: {
-      bytes.resize(static_cast<size_t>(traits.size));
-      for (auto& b : bytes) {
-        b = static_cast<uint8_t>(rng.UniformInt(0, 255));
-      }
-      break;
-    }
+    case MimeType::kOther:
+      return Content::Opaque(url, traits.mime, traits.size);
   }
   return Content::Make(url, traits.mime, std::move(bytes));
 }

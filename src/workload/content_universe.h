@@ -2,20 +2,22 @@
 //
 // Stands in for the live Internet behind the paper's proxy. Every URL's content is
 // a pure function of (universe seed, url), so runs are reproducible and any
-// component can regenerate the same bytes — which is precisely the property BASE
+// component can regenerate the same content — which is precisely the property BASE
 // soft state relies on ("transformed content ... can be regenerated from the
 // original", §3.1.8).
 //
-// Two content modes:
-//   - real:   images are synthesized and actually encoded with the SGIF/SJPG codecs,
-//             so distillers run genuine pixel transforms. Costs real host CPU;
-//             meant for examples, tests, and small universes.
-//   - opaque: content is random bytes of the modeled size (not decodable).
-//             Distillers detect this and fall back to a calibrated size-reduction
-//             model, keeping SAN/cache byte counts realistic at negligible host
-//             cost; meant for large-scale benchmarks.
-// HTML is always real (generation is cheap), so the HTML munger always does real
-// string rewriting.
+// Two content modes, both with the modeled wire size:
+//   - real:   images are synthesized and actually encoded with the SGIF/SJPG codecs
+//             (padded up to the modeled size), so distillers run genuine pixel
+//             transforms. Costs real host CPU; meant for examples, tests, and small
+//             universes.
+//   - opaque: images and kOther objects are Content::Opaque: a size and no bytes,
+//             since no reader decodes them. Distillers see no codec magic and fall
+//             back to a calibrated size-reduction model, keeping SAN/cache byte
+//             counts realistic at negligible host cost; meant for large-scale
+//             benchmarks.
+// HTML and error pages are always real (generation is cheap), so the HTML munger
+// always does real string rewriting.
 
 #ifndef SRC_WORKLOAD_CONTENT_UNIVERSE_H_
 #define SRC_WORKLOAD_CONTENT_UNIVERSE_H_
@@ -23,7 +25,6 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "src/content/content.h"
 #include "src/workload/size_model.h"
@@ -69,9 +70,6 @@ class ContentUniverse {
 
   const SizeModel& size_model() const { return size_model_; }
 
-  size_t generated_count() const { return cache_.size(); }
-  int64_t generated_bytes() const { return generated_bytes_; }
-
  private:
   struct UrlTraits {
     MimeType mime = MimeType::kOther;
@@ -84,12 +82,7 @@ class ContentUniverse {
   ContentUniverseConfig config_;
   SizeModel size_model_;
   std::unordered_map<std::string, ContentPtr> cache_;
-  int64_t generated_bytes_ = 0;
 };
-
-// True if `bytes` are real decodable content for their MIME type (images only;
-// opaque blobs fail the magic check).
-bool IsRealImage(MimeType mime, const std::vector<uint8_t>& bytes);
 
 }  // namespace sns
 

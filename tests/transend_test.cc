@@ -35,11 +35,8 @@ ContentPtr RealGif(int w, int h, uint64_t seed = 32) {
 }
 
 ContentPtr OpaqueImage(MimeType mime, int64_t size) {
-  std::vector<uint8_t> bytes(static_cast<size_t>(size), 0x7F);
-  bytes[0] = 'X';
-  bytes[1] = 'X';
-  return Content::Make(mime == MimeType::kGif ? "http://x/o.gif" : "http://x/o.jpg", mime,
-                       std::move(bytes));
+  return Content::Opaque(mime == MimeType::kGif ? "http://x/o.gif" : "http://x/o.jpg", mime,
+                         size);
 }
 
 // ---------- JPEG distiller -----------------------------------------------------------

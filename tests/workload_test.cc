@@ -3,13 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
+#include <string>
+#include <utility>
 
 #include "src/content/gif_codec.h"
 #include "src/content/html.h"
 #include "src/content/jpeg_codec.h"
 #include "src/content/mime.h"
+#include "src/services/transend/distillers.h"
 #include "src/util/stats.h"
+#include "src/util/strings.h"
 #include "src/workload/content_universe.h"
 #include "src/workload/size_model.h"
 #include "src/workload/trace.h"
@@ -126,6 +131,7 @@ TEST(UniverseTest, ContentIsDeterministicPerUrl) {
   for (int i = 0; i < 20; ++i) {
     std::string url = a.UrlAt(i);
     EXPECT_EQ(url, b.UrlAt(i));
+    EXPECT_EQ(a.GetContent(url)->size(), b.GetContent(url)->size());
     EXPECT_EQ(a.GetContent(url)->bytes, b.GetContent(url)->bytes);
   }
 }
@@ -136,7 +142,21 @@ TEST(UniverseTest, DifferentSeedsDiffer) {
   cb.seed = ca.seed + 1;
   ContentUniverse a(ca);
   ContentUniverse b(cb);
-  EXPECT_NE(a.GetContent(a.UrlAt(0))->bytes, b.GetContent(a.UrlAt(0))->bytes);
+  int mimes_differ = 0;
+  int sizes_differ = 0;
+  std::string html_url;
+  for (int i = 0; i < 50; ++i) {
+    std::string url = a.UrlAt(i);
+    mimes_differ += a.MimeOf(url) != b.MimeOf(b.UrlAt(i)) ? 1 : 0;
+    sizes_differ += a.GetContent(url)->size() != b.GetContent(url)->size() ? 1 : 0;
+    if (html_url.empty() && a.MimeOf(url) == MimeType::kHtml) {
+      html_url = url;
+    }
+  }
+  EXPECT_GT(mimes_differ, 0);
+  EXPECT_GT(sizes_differ, 0);
+  ASSERT_FALSE(html_url.empty());
+  EXPECT_NE(a.GetContent(html_url)->bytes, b.GetContent(html_url)->bytes);
 }
 
 TEST(UniverseTest, SizesTrackModeledSizes) {
@@ -170,12 +190,24 @@ TEST(UniverseTest, OpaqueImagesFailMagicCheck) {
   config.url_count = 200;
   config.real_image_max_bytes = 0;  // All imagery opaque.
   ContentUniverse universe(config);
+  int opaque = 0;
   for (int i = 0; i < 200; ++i) {
     std::string url = universe.UrlAt(i);
-    if (universe.MimeOf(url) == MimeType::kGif) {
-      EXPECT_FALSE(IsRealImage(MimeType::kGif, universe.GetContent(url)->bytes));
+    if (universe.MimeOf(url) != MimeType::kGif) {
+      continue;
+    }
+    ContentPtr content = universe.GetContent(url);
+    EXPECT_FALSE(IsGif(content->bytes));
+    if (content->bytes.empty()) {
+      // Opaque: the modeled size on the wire, no bytes held.
+      EXPECT_EQ(content->size(), universe.ModeledSize(url));
+      ++opaque;
+    } else {
+      // The only readable bytes under an image URL are an HTML error page.
+      EXPECT_EQ(std::string(content->bytes.begin(), content->bytes.begin() + 6), "<html>");
     }
   }
+  EXPECT_GT(opaque, 50);
 }
 
 TEST(UniverseTest, RealImagesDecode) {
@@ -212,6 +244,93 @@ TEST(UniverseTest, HtmlContentIsRealMarkup) {
     }
   }
   FAIL() << "no HTML url in first 300";
+}
+
+// ---------- content goldens -----------------------------------------------------------
+//
+// What the rest of the system sees of the universe is (url, mime, size()) and of the
+// image distillers (mime, size()): these drive the SAN, the caches and the cost
+// model. The digests pin both; they were recorded when opaque content still carried
+// synthesized bytes, so dropping those bytes must leave them unchanged.
+
+uint64_t UniverseDigest(const ContentUniverseConfig& config) {
+  ContentUniverse universe(config);
+  std::string transcript;
+  for (int64_t i = 0; i < std::min<int64_t>(500, config.url_count); ++i) {
+    ContentPtr content = universe.GetContent(universe.UrlAt(i));
+    transcript += StrFormat("%s %d %lld\n", content->url.c_str(),
+                            static_cast<int>(content->mime),
+                            static_cast<long long>(content->size()));
+  }
+  return Fnv1a(transcript);
+}
+
+// Distills the first 40 image URLs of the universe at four (scale, quality) pairs.
+// Counts the inputs that carry decodable codec bytes in *real.
+uint64_t DistillerDigest(const ContentUniverseConfig& config, int* real) {
+  ContentUniverse universe(config);
+  JpegDistiller jpeg;
+  GifDistiller gif;
+  std::string transcript;
+  int images = 0;
+  *real = 0;
+  for (int64_t i = 0; i < config.url_count && images < 40; ++i) {
+    ContentPtr in = universe.GetContent(universe.UrlAt(i));
+    if (in->mime != MimeType::kGif && in->mime != MimeType::kJpeg) {
+      continue;
+    }
+    ++images;
+    *real += IsGif(in->bytes) || IsJpeg(in->bytes) ? 1 : 0;
+    for (auto [scale, quality] : {std::pair{1, 85}, {2, 25}, {3, 50}, {4, 10}}) {
+      TaccRequest request;
+      request.url = in->url;
+      request.inputs.push_back(in);
+      request.args[kArgScale] = std::to_string(scale);
+      request.args[kArgQuality] = std::to_string(quality);
+      TaccWorker& worker = in->mime == MimeType::kGif ? static_cast<TaccWorker&>(gif) : jpeg;
+      TaccResult result = worker.Process(request);
+      EXPECT_TRUE(result.status.ok()) << in->url;
+      if (result.status.ok()) {
+        transcript += StrFormat("%s %lld %d %d -> %d %lld\n", in->url.c_str(),
+                                static_cast<long long>(in->size()), scale, quality,
+                                static_cast<int>(result.output->mime),
+                                static_cast<long long>(result.output->size()));
+      }
+    }
+  }
+  EXPECT_EQ(images, 40);
+  return Fnv1a(transcript);
+}
+
+ContentUniverseConfig RealImagesUpTo(int64_t max_bytes) {
+  ContentUniverseConfig config;
+  config.real_image_max_bytes = max_bytes;
+  return config;
+}
+
+TEST(ContentGoldenTest, OpaqueImageryUniverse) {
+  EXPECT_EQ(UniverseDigest(RealImagesUpTo(0)), 0xc0680373506c5eb3ULL);
+}
+
+TEST(ContentGoldenTest, RealImageryUniverse) {
+  EXPECT_EQ(UniverseDigest(RealImagesUpTo(20000)), 0x490ac427fc4ebe89ULL);
+}
+
+TEST(ContentGoldenTest, FixedJpegUniverse) {
+  EXPECT_EQ(UniverseDigest(FixedJpegUniverse(40)), 0x98b13e3454a09006ULL);
+}
+
+TEST(ContentGoldenTest, DistillersOnOpaqueImages) {
+  int real = 0;
+  EXPECT_EQ(DistillerDigest(RealImagesUpTo(0), &real), 0x17ef8323e5bda42cULL);
+  EXPECT_EQ(real, 0);
+}
+
+TEST(ContentGoldenTest, DistillersOnRealAndOpaqueImages) {
+  int real = 0;
+  EXPECT_EQ(DistillerDigest(RealImagesUpTo(20000), &real), 0xf1f899fd9206c1e4ULL);
+  EXPECT_GT(real, 10);
+  EXPECT_LT(real, 40);
 }
 
 TEST(UniverseTest, PopularUrlsFollowZipf) {
