@@ -30,6 +30,7 @@
 #include "src/obs/artifact.h"
 #include "src/obs/availability.h"
 #include "src/obs/profiler.h"
+#include "src/obs/timeseries.h"
 #include "src/services/hotbot/inverted_index.h"
 #include "src/sim/simulator.h"
 #include "src/store/consistent_hash.h"
@@ -306,6 +307,83 @@ void BM_BuildShardedCorpus(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * config.doc_count);
 }
 BENCHMARK(BM_BuildShardedCorpus)->Unit(benchmark::kMillisecond);
+
+// The flight recorder at transend_replay's shape: 138 series (96 counters, 24
+// gauges, 7 histograms as count + mean, 4 probes) over full 4096-sample rings.
+// Counters mostly stand still and gauges take few values, as in a real run.
+struct ReplayShapedRecorder {
+  static constexpr int kCounters = 96;
+  static constexpr int kGauges = 24;
+  static constexpr int kHistograms = 7;
+  static constexpr int kProbes = 4;
+  static constexpr int kSeries = kCounters + kGauges + 2 * kHistograms + kProbes;
+
+  MetricsRegistry registry;
+  TimeSeriesRecorder recorder{&registry};
+  std::vector<Counter*> counters;
+  std::vector<Gauge*> gauges;
+  std::vector<Histogram*> histograms;
+  Rng rng{0x7153};
+  SimTime now = 0;
+
+  ReplayShapedRecorder() {
+    for (int i = 0; i < kCounters; ++i) {
+      counters.push_back(registry.GetCounter(StrFormat("component.%d.count", i)));
+    }
+    for (int i = 0; i < kGauges; ++i) {
+      gauges.push_back(registry.GetGauge(StrFormat("component.%d.depth", i)));
+    }
+    for (int i = 0; i < kHistograms; ++i) {
+      histograms.push_back(
+          registry.GetHistogram(StrFormat("component.%d.latency_s", i), 0.0, 10.0, 50));
+    }
+    for (int i = 0; i < kProbes; ++i) {
+      recorder.AddProbe(StrFormat("node.%d.cpu_util", i), [this] { return 1e-9 * now; });
+    }
+    for (int i = 0; i < 4096; ++i) {
+      Tick();
+    }
+  }
+
+  void Tick() {
+    for (Counter* c : counters) {
+      c->Increment(rng.UniformInt(0, 3) == 0 ? 1 : 0);
+    }
+    for (Gauge* g : gauges) {
+      g->Set(static_cast<double>(rng.UniformInt(0, 4)));
+    }
+    for (Histogram* h : histograms) {
+      h->Add(rng.Uniform(0.0, 2.0));
+    }
+    now += Milliseconds(250);
+    recorder.SampleAt(now);
+  }
+};
+
+void BM_TimeSeriesSample(benchmark::State& state) {
+  SNS_PROFILE_ZONE("bench.TimeSeriesSample");
+  ReplayShapedRecorder shaped;
+  for (auto _ : state) {
+    shaped.now += Milliseconds(250);
+    shaped.recorder.SampleAt(shaped.now);
+  }
+  state.SetItemsProcessed(state.iterations() * ReplayShapedRecorder::kSeries);
+}
+BENCHMARK(BM_TimeSeriesSample);
+
+void BM_TimeSeriesToJson(benchmark::State& state) {
+  SNS_PROFILE_ZONE("bench.TimeSeriesToJson");
+  ReplayShapedRecorder shaped;
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    std::string json = shaped.recorder.ToJson();
+    bytes += static_cast<int64_t>(json.size());
+    benchmark::DoNotOptimize(json.data());
+  }
+  state.SetBytesProcessed(bytes);
+  state.SetItemsProcessed(state.iterations() * ReplayShapedRecorder::kSeries * 4096);
+}
+BENCHMARK(BM_TimeSeriesToJson)->Unit(benchmark::kMillisecond);
 
 // --- Artifact emission -------------------------------------------------------
 

@@ -3,6 +3,7 @@
 // metric audit.
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "src/sns/worker_process.h"
 #include "src/util/json_reader.h"
 #include "src/util/logging.h"
+#include "src/util/strings.h"
 
 namespace sns {
 namespace {
@@ -105,6 +107,220 @@ TEST(TimeSeriesRecorderTest, RingBuffersAreBounded) {
   EXPECT_DOUBLE_EQ(series->v.front(), 7.0);
   EXPECT_DOUBLE_EQ(series->v.back(), 10.0);
   EXPECT_EQ(recorder.samples_taken(), 10);
+}
+
+TEST(TimeSeriesRecorderTest, LateSeriesAreSuffixesOfTheTickColumnAcrossWraps) {
+  MetricsRegistry registry;
+  Counter* early = registry.GetCounter("early");
+  Counter* late = nullptr;
+  double probe = 0.0;
+  TimeSeriesRecorder recorder(&registry, Milliseconds(10), /*max_samples=*/4);
+  // Tick i (from 1) samples at 10*i ms; `late` registers before tick 3 and the
+  // probe is added before tick 8, so each starts mid-run and then wraps.
+  auto check = [&recorder](const char* name, int first, int tick, auto value) {
+    const TimeSeriesRecorder::Series* s = recorder.Find(name);
+    ASSERT_NE(s, nullptr) << name << " @" << tick;
+    size_t n = static_cast<size_t>(std::min(tick - first + 1, 4));
+    ASSERT_EQ(s->t.size(), n) << name << " @" << tick;
+    ASSERT_EQ(s->v.size(), n) << name << " @" << tick;
+    for (size_t j = 0; j < n; ++j) {
+      int at = tick - static_cast<int>(n) + 1 + static_cast<int>(j);
+      EXPECT_EQ(s->t[j], Milliseconds(10 * at)) << name << " @" << tick << "[" << j << "]";
+      EXPECT_DOUBLE_EQ(s->v[j], value(at)) << name << " @" << tick << "[" << j << "]";
+    }
+  };
+  for (int i = 1; i <= 13; ++i) {
+    if (i == 3) late = registry.GetCounter("late");
+    if (i == 8) recorder.AddProbe("probe", [&probe] { return probe; });
+    early->Increment();
+    if (late != nullptr) late->Increment(10);
+    probe = 0.5 * i;
+    recorder.SampleAt(Milliseconds(10 * i));
+
+    check("early", 1, i, [](int at) { return at; });
+    if (i >= 3) check("late", 3, i, [](int at) { return 10.0 * (at - 2); });
+    if (i >= 8) check("probe", 8, i, [](int at) { return 0.5 * at; });
+  }
+  EXPECT_EQ(recorder.Find("probe")->t.front(), Milliseconds(100));
+  EXPECT_EQ(recorder.series_count(), 3u);
+}
+
+// The test's own reference: every retained sample formatted with %lld / %.6g.
+std::string NaiveTimeSeriesJson(SimDuration interval, int64_t samples,
+                                const std::map<std::string, std::vector<std::pair<SimTime, double>>>&
+                                    series) {
+  std::string out = StrFormat("{\"interval_ns\":%lld,\"samples\":%lld,\"series\":{",
+                              static_cast<long long>(interval), static_cast<long long>(samples));
+  bool first_series = true;
+  for (const auto& [name, samples_of] : series) {
+    out += first_series ? "" : ",";
+    first_series = false;
+    std::string t;
+    std::string v;
+    for (const auto& [at, value] : samples_of) {
+      t += StrFormat(t.empty() ? "%lld" : ",%lld", static_cast<long long>(at));
+      v += StrFormat(v.empty() ? "%.6g" : ",%.6g", value);
+    }
+    out += "\"" + name + "\":{\"t_ns\":[" + t + "],\"v\":[" + v + "]}";
+  }
+  return out + "}}";
+}
+
+TEST(TimeSeriesRecorderTest, ToJsonMatchesPrintfFormattingOfEveryValue) {
+  const double values[] = {
+      std::numeric_limits<double>::quiet_NaN(), -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),  -std::numeric_limits<double>::infinity(),
+      -0.0, 0.0, 1e-300, 1e21, 0.1, 9007199254740992.0 /* 2^53 */, 9007199254740994.0,
+      5e-324, 123456.5, 1234567.0, 0.000123456789, -2.5e-7, 1e6, 999999.5, 1e100,
+  };
+  constexpr size_t kMax = 8;
+  TimeSeriesRecorder recorder(nullptr, Milliseconds(7), kMax);
+  std::map<std::string, std::vector<std::pair<SimTime, double>>> expected;
+  double current[3] = {0, 0, 0};
+  const char* names[3] = {"a.cycle", "b.runs", "c.late"};
+  int64_t ticks = 0;
+  // a.cycle walks the list; b.runs holds each value for 5 ticks; c.late joins
+  // late and holds each value for 11 ticks, across several ring wraps.
+  auto add = [&recorder, &current, &names](int k) {
+    recorder.AddProbe(names[k], [&current, k] { return current[k]; });
+  };
+  add(0);
+  add(1);
+  for (size_t i = 0; i < 3 * std::size(values) + 20; ++i) {
+    if (i == 25) add(2);
+    current[0] = values[i % std::size(values)];
+    current[1] = values[(i / 5) % std::size(values)];
+    current[2] = values[(i / 11 + 3) % std::size(values)];
+    SimTime now = Milliseconds(7) * static_cast<SimTime>(i + 1);
+    recorder.SampleAt(now);
+    ++ticks;
+    for (int k = 0; k < 3; ++k) {
+      if (k == 2 && i < 25) continue;
+      auto& column = expected[names[k]];
+      column.emplace_back(now, current[k]);
+      if (column.size() > kMax) column.erase(column.begin());
+    }
+    ASSERT_EQ(recorder.ToJson(), NaiveTimeSeriesJson(Milliseconds(7), ticks, expected))
+        << "tick " << i;
+  }
+}
+
+TEST(TimeSeriesRecorderTest, NameClaimedTwiceKeepsItsFirstSource) {
+  // Counter "x.count" and histogram "x" both claim the series "x.count". The
+  // first claimant owns it (counters bind before histograms), so each tick
+  // still records one sample per name.
+  MetricsRegistry registry;
+  registry.GetCounter("x.count")->Increment(7);
+  Histogram* h = registry.GetHistogram("x", 0.0, 10.0, 10);
+  h->Add(2.0);
+  h->Add(4.0);
+  TimeSeriesRecorder recorder(&registry, Milliseconds(10));
+  recorder.AddProbe("p", [] { return 1.0; });
+  recorder.SampleAt(Milliseconds(10));
+
+  // A probe added on an instrument's name is not recorded; one added on a
+  // probe's name replaces the probe and keeps the series; an instrument
+  // registered on a probe's name is not recorded.
+  recorder.AddProbe("x.mean", [] { return -1.0; });
+  recorder.AddProbe("p", [] { return 2.0; });
+  registry.GetGauge("p")->Set(-3.0);
+  recorder.SampleAt(Milliseconds(20));
+
+  const TimeSeriesRecorder::Series* count = recorder.Find("x.count");
+  ASSERT_NE(count, nullptr);
+  ASSERT_EQ(count->t.size(), 2u);
+  EXPECT_EQ(count->t[0], Milliseconds(10));
+  EXPECT_EQ(count->t[1], Milliseconds(20));
+  EXPECT_DOUBLE_EQ(count->v[0], 7.0);
+  EXPECT_DOUBLE_EQ(count->v[1], 7.0);
+
+  const TimeSeriesRecorder::Series* mean = recorder.Find("x.mean");
+  ASSERT_NE(mean, nullptr);
+  ASSERT_EQ(mean->v.size(), 2u);
+  EXPECT_DOUBLE_EQ(mean->v[1], 3.0);
+
+  const TimeSeriesRecorder::Series* p = recorder.Find("p");
+  ASSERT_NE(p, nullptr);
+  ASSERT_EQ(p->v.size(), 2u);
+  EXPECT_DOUBLE_EQ(p->v[0], 1.0);
+  EXPECT_DOUBLE_EQ(p->v[1], 2.0);
+  EXPECT_EQ(recorder.series_count(), 3u);
+  EXPECT_EQ(recorder.ToJson(),
+            "{\"interval_ns\":10000000,\"samples\":2,\"series\":{"
+            "\"p\":{\"t_ns\":[10000000,20000000],\"v\":[1,2]},"
+            "\"x.count\":{\"t_ns\":[10000000,20000000],\"v\":[7,7]},"
+            "\"x.mean\":{\"t_ns\":[10000000,20000000],\"v\":[3,3]}}}");
+}
+
+// The recorder's export of a short TranSend run. A 10 ms cadence over 50
+// simulated seconds takes 5000 samples, so every 4096-slot ring wraps; the
+// cluster idles for 20 s, so the distillers the manager spawns on the first
+// requests join the registry late, after the oldest retained tick. The digest
+// was recorded before the recorder moved onto one shared tick column, whose
+// export must be byte-identical.
+TEST(TimeSeriesGoldenTest, TranSendRunExportIsPinned) {
+  Logger::Get().set_min_level(LogLevel::kNone);
+  TranSendOptions options = DistillHeavyOptions();
+  options.sns.timeseries_interval = Milliseconds(10);
+  TranSendService service(options);
+  service.Start();
+  PlaybackEngine* client = service.AddPlaybackEngine(0x7153);
+  Rng rng(0x7153);
+  ContentUniverse* universe = service.universe();
+  service.sim()->RunFor(Seconds(20));
+  client->StartConstantRate(10, [&rng, universe] {
+    TraceRecord record;
+    record.user_id = "golden";
+    record.url = universe->UrlAt(rng.UniformInt(0, universe->url_count() - 1));
+    return record;
+  });
+  service.sim()->RunFor(Seconds(20));
+  client->StopLoad();
+  service.sim()->RunFor(Seconds(10));
+
+  const TimeSeriesRecorder* recorder = service.system()->recorder();
+  ASSERT_NE(recorder, nullptr);
+  EXPECT_EQ(recorder->samples_taken(), 5000);
+  std::string json = recorder->ToJson();
+
+  // Every series is a suffix of the retained ticks: those present from the
+  // start span the whole window, the late ones begin after its first tick.
+  JsonReader reader(json);
+  std::string key;
+  int64_t oldest = -1;
+  int full = 0;
+  int late = 0;
+  ASSERT_TRUE(reader.BeginObject());
+  while (reader.NextMember(&key)) {
+    if (key != "series") {
+      ASSERT_TRUE(reader.Skip());
+      continue;
+    }
+    ASSERT_TRUE(reader.BeginObject());
+    while (reader.NextMember(&key)) {
+      ASSERT_TRUE(reader.BeginObject());
+      std::string column;
+      ASSERT_TRUE(reader.NextMember(&column));
+      ASSERT_EQ(column, "t_ns");
+      ASSERT_TRUE(reader.BeginArray());
+      int64_t first = -1;
+      int64_t t = 0;
+      size_t n = 0;
+      while (reader.NextElement() && reader.ReadInt(&t)) {
+        if (n++ == 0) first = t;
+      }
+      EXPECT_LE(n, 4096u) << key;
+      if (oldest < 0) oldest = first;
+      (first == oldest ? full : late) += 1;
+      while (reader.NextMember(&column)) ASSERT_TRUE(reader.Skip());
+    }
+  }
+  ASSERT_TRUE(reader.ExpectEnd()) << reader.error();
+  EXPECT_EQ(oldest, Milliseconds(10) * (5000 - 4096 + 1));
+  EXPECT_GT(full, 0);
+  EXPECT_GT(late, 0);
+
+  EXPECT_EQ(Fnv1a(json), 0x441084fa0fb59279ULL);
 }
 
 // ---------------------------------------------------------------------------
